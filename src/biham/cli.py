@@ -189,104 +189,81 @@ def _schema_diagnostics(cfg: dict, command: str):
     return out
 
 
-def _stability_diagnostic(h, dt, hbar, where):
-    ratio = dt * np.linalg.norm(h, 2) / hbar
-    if ratio > dynamics.MAX_STEP_FRACTION:
-        return [f"{where}: dt*||h||/hbar = {ratio:.3g} exceeds the stability "
-                f"guard {dynamics.MAX_STEP_FRACTION}"]
+def _diagnose(where, check, *args) -> list:
+    """Run one library check; its typed error comes back with ``where`` prefixed."""
+    try:
+        check(*args)
+    except (ConfigError, ComputeError) as exc:
+        return [type(exc)(f"{where}: {exc}")]
     return []
 
 
-def _physics_diagnostics(cfg: dict) -> list:
-    """Cross-field and physics checks the JSON schema cannot express."""
-    command = cfg["command"]
+def _horizon_steps(params) -> int:
+    """Number of ``dt`` steps ending at ``t_final``; ConfigError if none does (to 1e-9)."""
+    t_final, dt = params["t_final"], params["dt"]
+    ratio = t_final / dt
+    if not np.isfinite(ratio):
+        raise ConfigError(f"t_final/dt = {ratio} is not a finite step count")
+    steps = max(1, round(ratio))
+    if abs(steps * dt - t_final) > 1e-9 * t_final:
+        raise ConfigError(f"t_final = {t_final!r} is not a whole number of steps dt = {dt!r}: "
+                          f"{steps} steps end at t = {steps * dt!r}")
+    return steps
+
+
+def _problems(cfg: dict) -> list:
+    """Every violation as a typed error; physics ones are those the run itself raises."""
+    command = cfg.get("command")
+    if command not in COMMANDS:
+        return [ConfigError(f"command: must be one of {', '.join(COMMANDS)}, got {command!r}")]
+    diags = _schema_diagnostics(cfg, command)
+    if diags:
+        return [ConfigError(d) for d in diags]
     params = cfg["params"]
-    diags = []
+    hbar = params.get("hbar", 1.0)
+    problems = []
 
-    def parse_matrix(where="params.matrix"):
+    if command in ("decompose", "evolve", "verify"):
         try:
-            return io.matrix_from_json(params["matrix"])
+            h = io.matrix_from_json(params["matrix"])
         except ConfigError as exc:
-            diags.append(f"{where}: {exc}")
-            return None
-
-    if command == "decompose":
-        parse_matrix()
-
-    elif command == "evolve":
-        h = parse_matrix()
-        if h is None:
-            return diags
+            return [ConfigError(f"params.matrix: {exc}")]
         n = h.shape[0]
-        hbar = params.get("hbar", 1.0)
         for key in ("psi0", "phibar0"):
             if key in params:
-                try:
-                    io.vector_from_json(params[key], n)
-                except ConfigError as exc:
-                    diags.append(f"params.{key}: {exc}")
-        if "phibar0" in params and "csq" in params:
-            diags.append("params: phibar0 and csq are mutually exclusive")
-        if "csq" in params and len(params["csq"]) != n:
-            diags.append(f"params.csq: expected {n} modal constants")
-        if params["method"] == "rk4":
-            diags.extend(_stability_diagnostic(h, params["dt"], hbar, "params.dt"))
+                problems += _diagnose(f"params.{key}", io.vector_from_json, params[key], n)
 
-    elif command == "verify":
-        h = parse_matrix()
-        if h is None:
-            return diags
-        for key in ("psi0", "phibar0"):
-            if key in params:
-                try:
-                    io.vector_from_json(params[key], h.shape[0])
-                except ConfigError as exc:
-                    diags.append(f"params.{key}: {exc}")
+    if command == "evolve":
+        if "phibar0" in params and "csq" in params:
+            problems.append(ConfigError("params: phibar0 and csq are mutually exclusive"))
+        if "csq" in params and len(params["csq"]) != n:
+            problems.append(ConfigError(f"params.csq: expected {n} modal constants"))
+        problems += _diagnose("params.t_final", _horizon_steps, params)
+        if params["method"] == "rk4":
+            problems += _diagnose("params.dt", dynamics.check_step, h, params["dt"], hbar)
 
     elif command == "sweep":
         path = _sweep_path(params)
-        hbar = params.get("hbar", 1.0)
-        worst = None
-        guard_hit = False
-        for s in np.linspace(0.0, 1.0, 257):
-            p = path.params_at(float(s))
-            if p.discriminant <= 0.0 and (worst is None or p.discriminant < worst[1]):
-                worst = (float(s), p.discriminant)
-            ratio = params["dt"] * p.spectral_norm / hbar
-            if ratio > dynamics.MAX_STEP_FRACTION and not guard_hit:
-                guard_hit = True
-                diags.append(f"params.dt: dt*||h||/hbar = {ratio:.3g} at s={s:.3f} "
-                             f"exceeds the stability guard {dynamics.MAX_STEP_FRACTION}")
-        if worst is not None:
-            diags.append(
-                f"params.path: leaves the real-spectrum regime (z^2 <= x^2 + y^2) "
-                f"near s={worst[0]:.3f}"
-            )
+        problems += _diagnose("params.dt", lorentzian.check_sweep_step, path, params["dt"], hbar)
+        problems += _diagnose("params.path", lorentzian.check_real_regime, path)
 
     elif command == "continuum":
         try:
             config, V, psi0 = _continuum_setup(params)
         except ConfigError as exc:
-            diags.append(str(exc))
-            return diags
+            return [exc]
         except ValueError as exc:
-            diags.append(f"params: {exc}")
-            return diags
-        h = continuum.discretize(config, V)
-        diags.extend(_stability_diagnostic(h, params["dt"], config.hbar, "params.dt"))
+            return [ConfigError(f"params: {exc}")]
+        problems += _diagnose("params.t_final", _horizon_steps, params)
+        problems += _diagnose("params.dt", dynamics.check_step,
+                              continuum.discretize(config, V), params["dt"], config.hbar)
 
-    return diags
+    return problems
 
 
 def validate_config(cfg: dict) -> list:
     """All schema and physics violations, without executing the scenario."""
-    command = cfg.get("command")
-    if command not in COMMANDS:
-        return [f"command: must be one of {', '.join(COMMANDS)}, got {command!r}"]
-    diags = _schema_diagnostics(cfg, command)
-    if diags:
-        return diags
-    return _physics_diagnostics(cfg)
+    return [str(exc) for exc in _problems(cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +327,7 @@ def _run_evolve(params, rng):
     state0 = _initial_state(system, params, n, rng)
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
-    steps = max(1, round(params["t_final"] / dt))
+    steps = _horizon_steps(params)
     if params["method"] == "rk4":
         snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
     else:
@@ -440,7 +417,7 @@ def _run_continuum(params, rng):
     field0 = continuum.initial_lattice_state(config, V, psi0)
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
-    steps = max(1, round(params["t_final"] / dt))
+    steps = _horizon_steps(params)
     snaps = continuum.evolve_lattice(config, field0, dt, steps, record_every=every)
     header = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
     rows = []
@@ -527,6 +504,10 @@ def main(argv=None) -> int:
             print(json.dumps(diagnostics, indent=2))
             return 0 if not diagnostics else 2
         if diagnostics:
+            # a physics-only failure keeps the code the run would have raised
+            problems = _problems(cfg)
+            if all(isinstance(p, ComputeError) for p in problems):
+                raise problems[0]
             raise ConfigError("; ".join(diagnostics))
         run_config(cfg, args.out)
         return 0

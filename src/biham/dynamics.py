@@ -154,14 +154,18 @@ def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> Sta
 
     ``c_j(t) = c_j(0) exp(-i E_j t / hbar)`` and
     ``cbar_j(t) = cbar_j(0) exp(+i E_j t / hbar)``; the overlap is preserved
-    up to roundoff for arbitrary (also complex) spectra.
+    up to roundoff for arbitrary (also complex) spectra.  A growing mode
+    that overflows raises :class:`NonFinite`.
     """
     hbar = state0.hbar
-    phase = np.exp(-1j * system.eigenvalues * t / hbar)
-    c = expand_state(system, state0.psi) * phase
-    cbar = (state0.phibar @ system.right) / phase
-    psi = system.right @ c
-    phibar = system.left.conj() @ cbar
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phase = np.exp(-1j * system.eigenvalues * t / hbar)
+        c = expand_state(system, state0.psi) * phase
+        cbar = (state0.phibar @ system.right) / phase
+        psi = system.right @ c
+        phibar = system.left.conj() @ cbar
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
+        raise NonFinite(f"state overflowed by t={state0.t + t:.6g}")
     return StatePair(psi=psi, phibar=phibar, t=state0.t + t, hbar=hbar)
 
 
@@ -184,13 +188,14 @@ def rk4_step_pair(h_at, t: float, psi: np.ndarray, phibar: np.ndarray,
     return psi_next, phibar_next
 
 
-def _check_step(h, dt: float, hbar: float) -> None:
+def check_step(h, dt: float, hbar: float) -> None:
+    """Raise :class:`StepTooLarge` if ``dt * ||h||_2 / hbar`` exceeds the guard."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    hnorm = np.linalg.norm(h, 2)
-    if dt * hnorm / hbar > MAX_STEP_FRACTION:
+    ratio = dt * np.linalg.norm(h, 2) / hbar
+    if ratio > MAX_STEP_FRACTION:
         raise StepTooLarge(
-            f"dt*||h||/hbar = {dt * hnorm / hbar:.3g} exceeds {MAX_STEP_FRACTION}"
+            f"dt*||h||/hbar = {ratio:.3g} exceeds the stability guard {MAX_STEP_FRACTION}"
         )
 
 
@@ -215,7 +220,7 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     if record_every < 1:
         raise ValueError("record_every must be positive")
     hbar = state0.hbar
-    _check_step(h, dt, hbar)
+    check_step(h, dt, hbar)
 
     def h_at(_t):
         return h

@@ -33,11 +33,6 @@ def matrix_from_json(obj) -> np.ndarray:
     return h
 
 
-def matrix_to_json(h: np.ndarray) -> dict:
-    h = np.asarray(h, dtype=complex)
-    return {"n": h.shape[0], "re": h.real.tolist(), "im": h.imag.tolist()}
-
-
 def vector_from_json(obj, n: int = None) -> np.ndarray:
     """Parse a {"re": [...], "im": [...]} complex vector."""
     try:
@@ -94,13 +89,18 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def read_json(path):
+    """Parse a JSON file; the non-standard constants NaN and +-Infinity are rejected."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data, parse_constant=_reject_constant)
+    except ValueError as exc:  # malformed, undecodable, or a rejected constant
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

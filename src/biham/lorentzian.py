@@ -15,16 +15,13 @@ numbers) along slow parameter sweeps.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .dynamics import MAX_STEP_FRACTION, StatePair
+from .dynamics import ABSENT_MODE_CUTOFF, MAX_STEP_FRACTION, StatePair
 from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoefficient
 
 DEFAULT_SAMPLES = 201
-
-_ABSENT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
     for j in range(2):
         if csq[j] == 0.0:
             continue
-        if abs(d[j]) <= _ABSENT:
+        if abs(d[j]) <= ABSENT_MODE_CUTOFF:
             raise ZeroModalCoefficient(
                 f"mode {j} has csq={csq[j]:.3g} but |<b_{j}|psi>|={abs(d[j]):.3e}"
             )
@@ -153,11 +150,13 @@ def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
 
 @dataclass
 class SweepPath:
-    """Parameter functions over s in [0, 1], total duration, and sampling resolution."""
+    """Segment ``start`` -> ``end`` in (x, y, z), swept in time ``T``, recorded ``samples`` times.
 
-    x: Callable[[float], float]
-    y: Callable[[float], float]
-    z: Callable[[float], float]
+    Its two endpoints decide the regime and step checks exactly.
+    """
+
+    start: tuple
+    end: tuple
     T: float
     samples: int = DEFAULT_SAMPLES
 
@@ -170,18 +169,41 @@ class SweepPath:
     @classmethod
     def linear(cls, start, end, T: float, samples: int = DEFAULT_SAMPLES) -> "SweepPath":
         """Straight-line interpolation between two (x, y, z) triples."""
-        x0, y0, z0 = start
-        x1, y1, z1 = end
-        return cls(
-            x=lambda s: x0 + (x1 - x0) * s,
-            y=lambda s: y0 + (y1 - y0) * s,
-            z=lambda s: z0 + (z1 - z0) * s,
-            T=T,
-            samples=samples,
-        )
+        return cls(tuple(start), tuple(end), T, samples)
 
     def params_at(self, s: float) -> LorentzianParams:
-        return LorentzianParams(x=self.x(s), y=self.y(s), z=self.z(s))
+        (x0, y0, z0), (x1, y1, z1) = self.start, self.end
+        return LorentzianParams(x0 + (x1 - x0) * s, y0 + (y1 - y0) * s, z0 + (z1 - z0) * s)
+
+
+def check_real_regime(path: SweepPath) -> None:
+    """Raise OutsideRealRegime unless ``z^2 > x^2 + y^2`` all along the path.
+
+    Exact: while ``z`` keeps its sign, ``|z| - hypot(x, y)`` is concave, so
+    smallest at an end; where ``z`` changes sign, ``z = 0`` is outside.
+    """
+    a, b = path.params_at(0.0), path.params_at(1.0)
+    crossing = a.z * b.z <= 0.0
+    if crossing or min(a.discriminant, b.discriminant) <= 0.0:
+        raise OutsideRealRegime(
+            f"path from ({a.x:g}, {a.y:g}, {a.z:g}) to ({b.x:g}, {b.y:g}, {b.z:g}) leaves the "
+            f"real-spectrum regime z^2 > x^2 + y^2{' where z changes sign' if crossing else ''}")
+
+
+def check_sweep_step(path: SweepPath, dt: float, hbar: float = 1.0) -> int:
+    """Step count ``round(T/dt)``; raise StepTooLarge if ``dt_eff = T/steps`` breaks the guard.
+
+    ``||h|| = |z| + hypot(x, y)`` is convex, so largest at an end.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    steps = max(1, round(path.T / dt))
+    norm = max(path.params_at(0.0).spectral_norm, path.params_at(1.0).spectral_norm)
+    ratio = path.T / steps * norm / hbar
+    if ratio > MAX_STEP_FRACTION:
+        raise StepTooLarge(
+            f"dt*||h||/hbar = {ratio:.3g} exceeds the stability guard {MAX_STEP_FRACTION}")
+    return steps
 
 
 @dataclass
@@ -239,34 +261,22 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     whose fixed branch labels the modes continuously: inside the real regime
     ``z`` cannot change sign, so no eigenvalue-sorting label swaps can occur.
     Mode 1 is the positive-norm (u, v) mode with ``E = sgn(z) * sqrt(z^2 -
-    x^2 - y^2)``, mode 2 carries ``-E``.
+    x^2 - y^2)``, mode 2 carries ``-E``.  It takes ``round(T/dt)`` steps
+    of ``dt_eff = T/steps``, so it ends exactly at ``T``.
 
     Raises
     ------
     OutsideRealRegime
-        If the path leaves ``z^2 > x^2 + y^2`` while the invariant test is
-        active (``require_real_spectrum=True``).
+        If the path leaves ``z^2 > x^2 + y^2`` anywhere, even by grazing,
+        while the invariant test is active (``require_real_spectrum=True``).
     StepTooLarge
-        If ``dt`` violates the stability guard anywhere along the path.
+        If ``dt_eff`` violates the stability guard anywhere along the path.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     hbar = state0.hbar
-    steps = max(1, round(path.T / dt))
+    if require_real_spectrum:
+        check_real_regime(path)
+    steps = check_sweep_step(path, dt, hbar)
     dt_eff = path.T / steps
-
-    scan = np.linspace(0.0, 1.0, max(path.samples, 129))
-    for s in scan:
-        p = path.params_at(float(s))
-        if require_real_spectrum and p.discriminant <= 0.0:
-            raise OutsideRealRegime(
-                f"path leaves the real-spectrum regime at s={s:.4f} "
-                f"(x={p.x:g}, y={p.y:g}, z={p.z:g})"
-            )
-        if dt_eff * p.spectral_norm / hbar > MAX_STEP_FRACTION:
-            raise StepTooLarge(
-                f"dt*||h||/hbar = {dt_eff * p.spectral_norm / hbar:.3g} at s={s:.4f}"
-            )
 
     sample_steps = np.unique(np.round(np.linspace(0, steps, path.samples)).astype(int))
     sample_set = set(int(k) for k in sample_steps)
@@ -283,7 +293,7 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
 
     # scalar 2x2 RK4 kernel; numpy per-step overhead dominates otherwise
     def entries(s):
-        p = path.params_at(min(max(s, 0.0), 1.0))
+        p = path.params_at(s)
         return complex(p.z), p.x + 1j * p.y
 
     def rhs(z, w, p1, p2, f1, f2):
@@ -329,6 +339,6 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     deviations = np.empty_like(actions, dtype=float)
     for j in range(actions.shape[1]):
         gap = np.abs(actions[:, j] - base[j])
-        deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > _ABSENT else gap
+        deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > ABSENT_MODE_CUTOFF else gap
     return ActionRecord(times=times, actions=actions, deviations=deviations,
                         overlaps=overlaps)

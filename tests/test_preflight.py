@@ -1,0 +1,245 @@
+"""One physics preflight: validation and the run apply the same exact checks.
+
+A linear sweep stays in the real regime exactly when z keeps its sign and
+both endpoints are strictly inside; its step guard is exact at the endpoints.
+Configs that fail a check end with a stable JSON error code, never with a
+traceback or an artifact.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import biham
+from biham.cli import load_config, main, run_config, validate_config
+from biham.dynamics import MAX_STEP_FRACTION, StatePair, evolve_exact
+from biham.errors import ConfigError, NonFinite, OutsideRealRegime, StepTooLarge
+from biham.io import read_json
+from biham.lorentzian import (
+    SweepPath,
+    check_real_regime,
+    check_sweep_step,
+    initial_sweep_state,
+    sweep_adiabatic,
+)
+from biham.spectral import biorthogonal_decompose
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(biham.__file__).resolve().parent.parent
+
+IDENTITY_2 = {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+def sweep_config(start, end, T=10.0, dt=0.01):
+    (x0, y0, z0), (x1, y1, z1) = start, end
+    return {
+        "command": "sweep",
+        "params": {
+            "path": {"x0": x0, "y0": y0, "z0": z0, "x1": x1, "y1": y1, "z1": z1,
+                     "interpolation": "linear"},
+            "T": T, "dt": dt, "csq": [1.0, 0.0],
+        },
+    }
+
+
+def evolve_config(**params):
+    base = {"matrix": IDENTITY_2, "psi0": {"re": [1.0, 0.0], "im": [0.0, 0.0]},
+            "method": "rk4", "t_final": 1.0, "dt": 0.1}
+    return {"command": "evolve", "params": {**base, **params}}
+
+
+GRAZING = ((3e-4, 0.0, 1.0), (3e-4, 0.0, -1.1))
+FLAT_CROSSING = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+
+
+class TestExactRegime:
+    @pytest.mark.parametrize("start, end", [GRAZING, FLAT_CROSSING])
+    def test_sign_change_rejected_by_validation_and_sweep(self, start, end):
+        diags = validate_config(sweep_config(start, end))
+        assert len(diags) == 1 and "real-spectrum" in diags[0]
+        path = SweepPath.linear(start, end, T=10.0)
+        with pytest.raises(OutsideRealRegime):
+            sweep_adiabatic(path, initial_sweep_state(path, [1.0, 0.0]), dt=0.01)
+
+    def test_grazing_path_slips_between_samples(self):
+        # the margin z^2 - x^2 - y^2 is negative only in a window of width
+        # ~3e-4 in s, which 257 evenly spaced samples all miss
+        path = SweepPath.linear(*GRAZING, T=10.0)
+        samples = [path.params_at(s).discriminant for s in np.linspace(0.0, 1.0, 257)]
+        assert min(samples) > 0.0
+        with pytest.raises(OutsideRealRegime):
+            check_real_regime(path)
+
+    def test_endpoint_on_boundary_rejected(self):
+        with pytest.raises(OutsideRealRegime):
+            check_real_regime(SweepPath.linear((0.0, 0.0, 2.0), (1.0, 0.0, 1.0), T=1.0))
+
+    def test_interior_paths_accepted_for_both_signs_of_z(self):
+        for sign in (1.0, -1.0):
+            check_real_regime(SweepPath.linear((0.5, 0.5, 2.0 * sign), (-0.9, 0.3, 1.0 * sign),
+                                               T=1.0))
+
+    def test_agrees_with_the_exact_minimum_on_random_segments(self):
+        rng = np.random.default_rng(11)
+        s_grid = np.linspace(0.0, 1.0, 401)
+        for _ in range(400):
+            start, end = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+            path = SweepPath.linear(start, end, T=1.0)
+            points = list(s_grid)
+            if start[2] != end[2]:
+                crossing = start[2] / (start[2] - end[2])
+                if 0.0 <= crossing <= 1.0:
+                    points.append(crossing)
+            margin = min(path.params_at(s).discriminant for s in points)
+            try:
+                check_real_regime(path)
+            except OutsideRealRegime:
+                assert margin <= 1e-12
+            else:
+                assert margin > 0.0
+
+
+class TestExactStepGuard:
+    def test_guard_is_maximal_at_an_endpoint(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            start, end = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3)
+            path = SweepPath.linear(start, end, T=1.0)
+            dt = rng.uniform(0.01, 0.3)
+            sampled = max(path.params_at(s).spectral_norm for s in np.linspace(0, 1, 201))
+            steps = max(1, round(path.T / dt))
+            try:
+                assert check_sweep_step(path, dt) == steps
+            except StepTooLarge:
+                assert path.T / steps * sampled > MAX_STEP_FRACTION
+            else:
+                assert path.T / steps * sampled <= MAX_STEP_FRACTION
+
+    def test_validator_uses_the_run_step(self):
+        # dt = 0.44 passes the guard at ||h|| = 1.1, but the run steps with
+        # dt_eff = T / round(T/dt) = 0.5, which does not
+        cfg = sweep_config((0.0, 0.0, 1.1), (0.0, 0.0, 1.1), T=1.0, dt=0.44)
+        diags = validate_config(cfg)
+        assert len(diags) == 1 and "stability" in diags[0]
+        path = SweepPath.linear((0.0, 0.0, 1.1), (0.0, 0.0, 1.1), T=1.0)
+        with pytest.raises(StepTooLarge):
+            sweep_adiabatic(path, initial_sweep_state(path, [1.0, 0.0]), dt=0.44)
+
+    def test_both_rules_broken_gives_two_diagnostics(self):
+        diags = validate_config(sweep_config((1.0, 0.0, 30.0), (1.0, 0.0, -40.0), dt=0.05))
+        assert len(diags) == 2
+        assert any("stability" in d for d in diags)
+        assert any("real-spectrum" in d for d in diags)
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected(self, tmp_path, constant):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(evolve_config()).replace('"dt": 0.1', f'"dt": {constant}'))
+        with pytest.raises(ConfigError, match=constant):
+            read_json(path)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"command": "\xff"}')
+        with pytest.raises(ConfigError):
+            read_json(path)
+
+    @pytest.mark.parametrize("command", ["evolve", "continuum"])
+    def test_horizon_must_be_whole_steps(self, tmp_path, command):
+        if command == "evolve":
+            cfg = evolve_config(t_final=1.0, dt=0.3)
+        else:
+            cfg = load_config(FIXTURES / "continuum_gaussian.json")
+            cfg["params"].update(t_final=0.05, dt=0.0003)
+        diags = validate_config(cfg)
+        assert len(diags) == 1 and diags[0].startswith("params.t_final")
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            run_config(cfg, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_horizon_accepts_rounding_of_whole_steps(self):
+        # 30 steps of 0.1 end at 3.0000000000000004: a rounding-level miss
+        assert validate_config(evolve_config(t_final=1.0, dt=0.1)) == []
+        assert validate_config(evolve_config(t_final=3.0, dt=0.1)) == []
+
+    def test_step_count_overflow_is_a_config_error(self):
+        diags = validate_config(evolve_config(t_final=1e300, dt=1e-300))
+        assert len(diags) == 1 and "finite" in diags[0]
+
+    def test_exact_overflow_raises_non_finite(self):
+        h = np.diag([5j, -5j])
+        system = biorthogonal_decompose(h)
+        state = StatePair(psi=np.array([1.0, 1.0]), phibar=np.array([1.0, 1.0]))
+        assert np.all(np.isfinite(evolve_exact(system, state, 100.0).psi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(NonFinite):
+                evolve_exact(system, state, 200.0)
+
+
+# ---------------------------------------------------------------------------
+# CLI contract: a failing config ends with one JSON error line and no artifact
+
+OVERFLOW = evolve_config(
+    matrix={"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[5.0, 0.0], [0.0, -5.0]]},
+    psi0={"re": [1.0, 1.0], "im": [0.0, 0.0]}, method="exact", t_final=200.0, dt=0.1)
+
+CONTRACT_CASES = {
+    "nan_dt": (json.dumps(evolve_config()).replace('"dt": 0.1', '"dt": NaN'),
+               2, "config_error"),
+    "infinite_t_final": (json.dumps(evolve_config()).replace('"t_final": 1.0',
+                                                            '"t_final": Infinity'),
+                         2, "config_error"),
+    "exact_overflow": (json.dumps(OVERFLOW), 3, "non_finite"),
+    "short_horizon": (json.dumps(evolve_config(t_final=1.0, dt=0.3)), 2, "config_error"),
+    "grazing_sweep": (json.dumps(sweep_config(*GRAZING)), 3, "outside_real_regime"),
+    "flat_crossing_sweep": (json.dumps(sweep_config(*FLAT_CROSSING)), 3,
+                            "outside_real_regime"),
+    "sweep_breaks_both_rules": (json.dumps(sweep_config((1.0, 0.0, 30.0), (1.0, 0.0, -40.0),
+                                                        dt=0.05)),
+                                3, "step_too_large"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_cli_contract_on_failing_configs(tmp_path, case):
+    text, exit_code, error = CONTRACT_CASES[case]
+    command = "sweep" if "sweep" in case else "evolve"
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "biham.cli", command, "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert exit_code in (2, 3)
+    assert proc.returncode == exit_code
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_grazing_sweep_both_routes(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(sweep_config(*GRAZING)))
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--validate-only"]) == 2
+    diags = json.loads(capsys.readouterr().out)
+    assert any("real-spectrum" in d for d in diags)
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "outside_real_regime"
+    assert not (tmp_path / "out").exists()
+
