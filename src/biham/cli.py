@@ -33,25 +33,26 @@ DEFAULT_OUTPUT = {
     "continuum": "continuum.csv",
 }
 
-_NUMBER_GRID = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-_NUMBER_LIST = {"type": "array", "items": {"type": "number"}}
-
+# re/im elements are checked by io, which reads them
 MATRIX_SCHEMA = {
     "type": "object",
     "required": ["n", "re", "im"],
     "additionalProperties": False,
     "properties": {"n": {"type": "integer", "minimum": 1},
-                   "re": _NUMBER_GRID, "im": _NUMBER_GRID},
+                   "re": {"type": "array"}, "im": {"type": "array"}},
 }
 
 VECTOR_SCHEMA = {
     "type": "object",
     "required": ["re", "im"],
     "additionalProperties": False,
-    "properties": {"re": _NUMBER_LIST, "im": _NUMBER_LIST},
+    "properties": {"re": {"type": "array"}, "im": {"type": "array"}},
 }
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+# a literal such as 1e999 parses to inf; the float range bounds keep it out
+_NUMBER = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0, "maximum": sys.float_info.max}
+_NON_NEGATIVE = {"type": "number", "minimum": 0, "maximum": sys.float_info.max}
 
 PARAMS_SCHEMAS = {
     "decompose": {
@@ -68,7 +69,7 @@ PARAMS_SCHEMAS = {
             "matrix": MATRIX_SCHEMA,
             "psi0": VECTOR_SCHEMA,
             "phibar0": VECTOR_SCHEMA,
-            "csq": {"type": "array", "items": {"type": "number", "minimum": 0}},
+            "csq": {"type": "array", "items": _NON_NEGATIVE},
             "method": {"enum": ["rk4", "exact"]},
             "t_final": _POSITIVE,
             "dt": _POSITIVE,
@@ -98,16 +99,15 @@ PARAMS_SCHEMAS = {
                 "required": ["x0", "y0", "z0", "x1", "y1", "z1", "interpolation"],
                 "additionalProperties": False,
                 "properties": {
-                    "x0": {"type": "number"}, "y0": {"type": "number"},
-                    "z0": {"type": "number"}, "x1": {"type": "number"},
-                    "y1": {"type": "number"}, "z1": {"type": "number"},
+                    "x0": _NUMBER, "y0": _NUMBER, "z0": _NUMBER,
+                    "x1": _NUMBER, "y1": _NUMBER, "z1": _NUMBER,
                     "interpolation": {"enum": ["linear"]},
                 },
             },
             "T": _POSITIVE,
             "dt": _POSITIVE,
             "csq": {"type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {"type": "number", "minimum": 0}},
+                    "items": _NON_NEGATIVE},
             "samples": {"type": "integer", "minimum": 2},
             "hbar": _POSITIVE,
         },
@@ -127,12 +127,11 @@ PARAMS_SCHEMAS = {
                 "additionalProperties": False,
                 "properties": {
                     "kind": {"enum": ["complex_gaussian", "table"]},
-                    "center": {"type": "number"},
+                    "center": _NUMBER,
                     "width": _POSITIVE,
-                    "amp_re": {"type": "number"},
-                    "amp_im": {"type": "number"},
-                    "re": _NUMBER_LIST,
-                    "im": _NUMBER_LIST,
+                    "amp_re": _NUMBER,
+                    "amp_im": _NUMBER,
+                    **VECTOR_SCHEMA["properties"],
                 },
             },
             "psi0": {
@@ -141,12 +140,11 @@ PARAMS_SCHEMAS = {
                 "additionalProperties": False,
                 "properties": {
                     "kind": {"enum": ["gaussian", "plane_wave", "table"]},
-                    "center": {"type": "number"},
+                    "center": _NUMBER,
                     "width": _POSITIVE,
-                    "momentum": {"type": "number"},
-                    "mode": {"type": "integer"},
-                    "re": _NUMBER_LIST,
-                    "im": _NUMBER_LIST,
+                    "momentum": _NUMBER,
+                    "mode": {**_NUMBER, "type": "integer"},
+                    **VECTOR_SCHEMA["properties"],
                 },
             },
             "dt": _POSITIVE,
@@ -189,81 +187,87 @@ def _schema_diagnostics(cfg: dict, command: str):
     return out
 
 
-def _diagnose(where, check, *args) -> list:
-    """Run one library check; its typed error comes back with ``where`` prefixed."""
-    try:
-        check(*args)
-    except (ConfigError, ComputeError) as exc:
-        return [type(exc)(f"{where}: {exc}")]
-    return []
-
-
 def _horizon_steps(params) -> int:
     """Number of ``dt`` steps ending at ``t_final``; ConfigError if none does (to 1e-9)."""
     t_final, dt = params["t_final"], params["dt"]
-    ratio = t_final / dt
-    if not np.isfinite(ratio):
-        raise ConfigError(f"t_final/dt = {ratio} is not a finite step count")
-    steps = max(1, round(ratio))
+    steps = dynamics.step_count(t_final, dt)
     if abs(steps * dt - t_final) > 1e-9 * t_final:
         raise ConfigError(f"t_final = {t_final!r} is not a whole number of steps dt = {dt!r}: "
                           f"{steps} steps end at t = {steps * dt!r}")
     return steps
 
 
-def _problems(cfg: dict) -> list:
-    """Every violation as a typed error; physics ones are those the run itself raises."""
+def _preflight(cfg: dict):
+    """Schema, element and physics checks of a config: ``(problems, inputs)``.
+
+    ``problems`` holds every violation as a typed error, physics ones as the run
+    raises them; ``inputs`` holds what the checks parsed, for the run.
+    """
     command = cfg.get("command")
     if command not in COMMANDS:
-        return [ConfigError(f"command: must be one of {', '.join(COMMANDS)}, got {command!r}")]
+        return [ConfigError(f"command: must be one of {', '.join(COMMANDS)}, got {command!r}")], {}
     diags = _schema_diagnostics(cfg, command)
     if diags:
-        return [ConfigError(d) for d in diags]
+        return [ConfigError(d) for d in diags], {}
     params = cfg["params"]
     hbar = params.get("hbar", 1.0)
-    problems = []
+    problems, inputs = [], {}
+
+    def check(where, fn, *args):
+        """Run one library check; its result, or None with its typed error kept."""
+        try:
+            return fn(*args)
+        except (ConfigError, ComputeError) as exc:
+            problems.append(type(exc)(f"{where}: {exc}"))
 
     if command in ("decompose", "evolve", "verify"):
-        try:
-            h = io.matrix_from_json(params["matrix"])
-        except ConfigError as exc:
-            return [ConfigError(f"params.matrix: {exc}")]
+        h = inputs["h"] = check("params.matrix", io.matrix_from_json, params["matrix"])
+        if h is None:
+            return problems, inputs
         n = h.shape[0]
         for key in ("psi0", "phibar0"):
             if key in params:
-                problems += _diagnose(f"params.{key}", io.vector_from_json, params[key], n)
+                inputs[key] = check(f"params.{key}", io.vector_from_json, params[key], n)
 
     if command == "evolve":
         if "phibar0" in params and "csq" in params:
             problems.append(ConfigError("params: phibar0 and csq are mutually exclusive"))
         if "csq" in params and len(params["csq"]) != n:
             problems.append(ConfigError(f"params.csq: expected {n} modal constants"))
-        problems += _diagnose("params.t_final", _horizon_steps, params)
+        inputs["steps"] = check("params.t_final", _horizon_steps, params)
         if params["method"] == "rk4":
-            problems += _diagnose("params.dt", dynamics.check_step, h, params["dt"], hbar)
+            check("params.dt", dynamics.check_step, h, params["dt"], hbar)
 
     elif command == "sweep":
-        path = _sweep_path(params)
-        problems += _diagnose("params.dt", lorentzian.check_sweep_step, path, params["dt"], hbar)
-        problems += _diagnose("params.path", lorentzian.check_real_regime, path)
+        p = params["path"]
+        path = inputs["path"] = lorentzian.SweepPath.linear(
+            (p["x0"], p["y0"], p["z0"]), (p["x1"], p["y1"], p["z1"]),
+            T=params["T"], samples=params.get("samples", lorentzian.DEFAULT_SAMPLES))
+        check("params.dt", lorentzian.check_sweep_step, path, params["dt"], hbar)
+        check("params.path", lorentzian.check_real_regime, path)
 
     elif command == "continuum":
+        for key in ("potential", "psi0"):
+            if params[key]["kind"] == "table":
+                inputs[key] = check(f"params.{key}", io.vector_from_json, params[key], params["N"])
+        if problems:
+            return problems, inputs
         try:
-            config, V, psi0 = _continuum_setup(params)
+            config, V, _ = inputs["lattice"] = _continuum_setup(params, inputs)
         except ConfigError as exc:
-            return [exc]
-        except ValueError as exc:
-            return [ConfigError(f"params: {exc}")]
-        problems += _diagnose("params.t_final", _horizon_steps, params)
-        problems += _diagnose("params.dt", dynamics.check_step,
-                              continuum.discretize(config, V), params["dt"], config.hbar)
+            return [exc], inputs
+        except ValueError as exc:  # ContinuumConfig's own checks and grid size
+            return [ConfigError(f"params: {exc}")], inputs
+        inputs["steps"] = check("params.t_final", _horizon_steps, params)
+        check("params.dt", dynamics.check_step,
+              continuum.discretize(config, V), params["dt"], config.hbar)
 
-    return problems
+    return problems, inputs
 
 
 def validate_config(cfg: dict) -> list:
     """All schema and physics violations, without executing the scenario."""
-    return [str(exc) for exc in _problems(cfg)]
+    return [str(exc) for exc in _preflight(cfg)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +293,21 @@ def _state_row(state):
     return row
 
 
-def _initial_state(system, params, n, rng=None):
-    hbar = params.get("hbar", 1.0)
-    if "psi0" in params:
-        psi0 = io.vector_from_json(params["psi0"], n)
-    else:
-        psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def _initial_state(system, inputs, params, rng):
+    psi0, phibar0 = inputs.get("psi0"), inputs.get("phibar0")
+    if psi0 is None:
+        psi0 = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
         psi0 /= np.linalg.norm(psi0)
-    if "phibar0" in params:
-        phibar0 = io.vector_from_json(params["phibar0"], n)
-    else:
+    if phibar0 is None:
         csq = np.asarray(params["csq"], dtype=float) if "csq" in params \
             else dynamics.default_modal_constants(system, psi0)
         phibar0 = dynamics.conjugate_field(system, psi0, csq)
-    return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=hbar)
+    return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=params.get("hbar", 1.0))
 
 
-def _run_decompose(params, rng):
-    h = io.matrix_from_json(params["matrix"])
-    system = spectral.biorthogonal_decompose(h, tol=params.get("tol", spectral.DEFAULT_TOL))
+def _run_decompose(inputs, params, rng):
+    system = spectral.biorthogonal_decompose(inputs["h"],
+                                             tol=params.get("tol", spectral.DEFAULT_TOL))
     report = {
         "n": system.n,
         "eigenvalues_re": system.eigenvalues.real.tolist(),
@@ -320,14 +320,12 @@ def _run_decompose(params, rng):
     return ("json", report)
 
 
-def _run_evolve(params, rng):
-    h = io.matrix_from_json(params["matrix"])
-    n = h.shape[0]
+def _run_evolve(inputs, params, rng):
+    h, steps = inputs["h"], inputs["steps"]
     system = spectral.biorthogonal_decompose(h)
-    state0 = _initial_state(system, params, n, rng)
+    state0 = _initial_state(system, inputs, params, rng)
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
-    steps = _horizon_steps(params)
     if params["method"] == "rk4":
         snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
     else:
@@ -335,13 +333,13 @@ def _run_evolve(params, rng):
         if marks[-1] != steps:
             marks.append(steps)
         snaps = [dynamics.evolve_exact(system, state0, k * dt) for k in marks]
-    return ("csv", (_state_columns(n), [_state_row(s) for s in snaps]))
+    return ("csv", (_state_columns(system.n), [_state_row(s) for s in snaps]))
 
 
-def _run_verify(params, rng):
-    h = io.matrix_from_json(params["matrix"])
+def _run_verify(inputs, params, rng):
+    h = inputs["h"]
     system = spectral.biorthogonal_decompose(h)
-    state = _initial_state(system, params, h.shape[0], rng)
+    state = _initial_state(system, inputs, params, rng)
     report = canonical.canonical_report(
         h, state, system=system, fd_step=params.get("fd_step", canonical.FD_STEP))
     payload = {
@@ -356,15 +354,8 @@ def _run_verify(params, rng):
     return ("json", payload)
 
 
-def _sweep_path(params):
-    p = params["path"]
-    return lorentzian.SweepPath.linear(
-        (p["x0"], p["y0"], p["z0"]), (p["x1"], p["y1"], p["z1"]),
-        T=params["T"], samples=params.get("samples", lorentzian.DEFAULT_SAMPLES))
-
-
-def _run_sweep(params, rng):
-    path = _sweep_path(params)
+def _run_sweep(inputs, params, rng):
+    path = inputs["path"]
     state0 = lorentzian.initial_sweep_state(path, params["csq"],
                                             hbar=params.get("hbar", 1.0))
     record = lorentzian.sweep_adiabatic(path, state0, dt=params["dt"])
@@ -380,7 +371,7 @@ def _run_sweep(params, rng):
     return ("csv", (header, rows))
 
 
-def _continuum_setup(params):
+def _continuum_setup(params, tables):
     config = continuum.ContinuumConfig(
         L=params["L"], N=params["N"],
         m=params.get("m", 1.0), hbar=params.get("hbar", 1.0))
@@ -393,7 +384,7 @@ def _continuum_setup(params):
         amp = pot.get("amp_re", 0.0) + 1j * pot.get("amp_im", 0.0)
         V = continuum.complex_gaussian_potential(x, pot["center"], pot["width"], amp)
     else:
-        V = io.vector_from_json(pot, config.N)
+        V = tables["potential"]
 
     init = params["psi0"]
     if init["kind"] == "gaussian":
@@ -408,17 +399,15 @@ def _continuum_setup(params):
         psi0 = continuum.plane_wave(config, init["mode"])
         psi0 = psi0 / np.sqrt(np.sum(np.abs(psi0) ** 2) * config.dx)
     else:
-        psi0 = io.vector_from_json(init, config.N)
+        psi0 = tables["psi0"]
     return config, V, psi0
 
 
-def _run_continuum(params, rng):
-    config, V, psi0 = _continuum_setup(params)
+def _run_continuum(inputs, params, rng):
+    config, V, psi0 = inputs["lattice"]
     field0 = continuum.initial_lattice_state(config, V, psi0)
-    dt = params["dt"]
-    every = params.get("snapshot_every", 1)
-    steps = _horizon_steps(params)
-    snaps = continuum.evolve_lattice(config, field0, dt, steps, record_every=every)
+    snaps = continuum.evolve_lattice(config, field0, params["dt"], inputs["steps"],
+                                     record_every=params.get("snapshot_every", 1))
     header = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
     rows = []
     for k, snap in enumerate(snaps):
@@ -442,12 +431,21 @@ _RUNNERS = {
 
 
 def run_config(cfg: dict, out_dir) -> Path:
-    """Execute a validated scenario config; returns the artifact path."""
+    """Check and execute a scenario config; returns the artifact path.
+
+    A config with problems is not run: if all are physics ones the first is
+    raised with its own code, else one ConfigError lists them all.
+    """
+    problems, inputs = _preflight(cfg)
+    if problems:
+        if all(isinstance(p, ComputeError) for p in problems):
+            raise problems[0]
+        raise ConfigError("; ".join(map(str, problems)))
     command = cfg["command"]
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     log.info("running %s (seed %d)", command, seed)
-    kind, payload = _RUNNERS[command](cfg["params"], rng)
+    kind, payload = _RUNNERS[command](inputs, cfg["params"], rng)
     out_path = Path(out_dir) / cfg.get("output", DEFAULT_OUTPUT[command])
     if kind == "json":
         io.write_json(out_path, payload)
@@ -499,16 +497,10 @@ def main(argv=None) -> int:
                 f"subcommand {args.command!r}")
         if args.seed is not None:
             cfg["seed"] = args.seed
-        diagnostics = validate_config(cfg)
         if args.validate_only:
+            diagnostics = validate_config(cfg)
             print(json.dumps(diagnostics, indent=2))
             return 0 if not diagnostics else 2
-        if diagnostics:
-            # a physics-only failure keeps the code the run would have raised
-            problems = _problems(cfg)
-            if all(isinstance(p, ComputeError) for p in problems):
-                raise problems[0]
-            raise ConfigError("; ".join(diagnostics))
         run_config(cfg, args.out)
         return 0
     except ConfigError as exc:

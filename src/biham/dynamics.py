@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, StepTooLarge, ZeroModalCoefficient
+from .errors import ConfigError, NonFinite, StepTooLarge, ZeroModalCoefficient
 from .spectral import BiorthogonalSystem, as_square_matrix
 
 DEFAULT_HBAR = 1.0
@@ -197,6 +197,14 @@ def check_step(h, dt: float, hbar: float) -> None:
         raise StepTooLarge(
             f"dt*||h||/hbar = {ratio:.3g} exceeds the stability guard {MAX_STEP_FRACTION}"
         )
+
+
+def step_count(duration: float, dt: float) -> int:
+    """Steps ``max(1, round(duration/dt))``; ConfigError if ``duration/dt`` is not finite."""
+    ratio = duration / dt
+    if not np.isfinite(ratio):
+        raise ConfigError(f"{duration!r}/{dt!r} = {ratio} is not a finite step count")
+    return max(1, round(ratio))
 
 
 def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,

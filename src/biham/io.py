@@ -8,6 +8,7 @@ byte-identical across runs of the same build.
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -15,39 +16,41 @@ import numpy as np
 from .errors import ConfigError, IoError
 
 
+def _complex_from_json(obj, shape: tuple) -> np.ndarray:
+    """``re + 1j*im`` of ``obj``, each part a ``shape`` grid of finite JSON numbers.
+
+    Booleans and numeric strings, which ``np.asarray`` would coerce, are refused.
+    """
+    parts = []
+    for key in ("re", "im"):
+        try:  # a missing part, a ragged row or an int beyond float range fails here
+            part = np.asarray(obj[key], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: not a grid of numbers: {exc}") from exc
+        if part.shape != shape:
+            raise ConfigError(f"{key}: shape must be {shape}, got {part.shape}")
+        flat = list(chain.from_iterable(obj[key])) if len(shape) == 2 else obj[key]
+        if not set(map(type, flat)) <= {int, float}:
+            bad = next(v for v in flat if type(v) not in (int, float))
+            raise ConfigError(f"{key}: entries must be JSON numbers, got {bad!r}")
+        if not np.all(np.isfinite(part)):  # before 1j*inf makes a nan and a warning
+            raise ConfigError(f"{key}: entries must be finite")
+        parts.append(part)
+    return parts[0] + 1j * parts[1]
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse a {"n": int, "re": [[...]], "im": [[...]]} row-major matrix."""
     try:
         n = int(obj["n"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed matrix object: {exc}") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ConfigError(
-            f"matrix re/im must be {n}x{n}, got {re.shape} and {im.shape}"
-        )
-    h = re + 1j * im
-    if not np.all(np.isfinite(h)):
-        raise ConfigError("matrix entries must be finite")
-    return h
+    return _complex_from_json(obj, (n, n))
 
 
-def vector_from_json(obj, n: int = None) -> np.ndarray:
-    """Parse a {"re": [...], "im": [...]} complex vector."""
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed vector object: {exc}") from exc
-    if re.ndim != 1 or re.shape != im.shape:
-        raise ConfigError("vector re/im must be equal-length 1-D arrays")
-    if n is not None and re.shape[0] != n:
-        raise ConfigError(f"vector must have length {n}, got {re.shape[0]}")
-    v = re + 1j * im
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("vector entries must be finite")
-    return v
+def vector_from_json(obj, n: int) -> np.ndarray:
+    """Parse a {"re": [...], "im": [...]} complex vector of length ``n``."""
+    return _complex_from_json(obj, (n,))
 
 
 def fmt(value) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ABSENT_MODE_CUTOFF, MAX_STEP_FRACTION, StatePair
+from .dynamics import ABSENT_MODE_CUTOFF, MAX_STEP_FRACTION, StatePair, step_count
 from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoefficient
 
 DEFAULT_SAMPLES = 201
@@ -191,13 +191,13 @@ def check_real_regime(path: SweepPath) -> None:
 
 
 def check_sweep_step(path: SweepPath, dt: float, hbar: float = 1.0) -> int:
-    """Step count ``round(T/dt)``; raise StepTooLarge if ``dt_eff = T/steps`` breaks the guard.
+    """Step count ``step_count(T, dt)``; StepTooLarge if ``dt_eff = T/steps`` breaks the guard.
 
     ``||h|| = |z| + hypot(x, y)`` is convex, so largest at an end.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    steps = max(1, round(path.T / dt))
+    steps = step_count(path.T, dt)
     norm = max(path.params_at(0.0).spectral_norm, path.params_at(1.0).spectral_norm)
     ratio = path.T / steps * norm / hbar
     if ratio > MAX_STEP_FRACTION:

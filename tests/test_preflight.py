@@ -211,6 +211,36 @@ CONTRACT_CASES = {
 }
 
 
+def matrix_with(re):
+    return evolve_config(matrix={"n": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]})
+
+
+HUGE = 10 ** 400  # a 400-digit integer literal, beyond float range
+
+# number-grid faults found by io, and scalars or step counts beyond float range
+CONTRACT_CASES.update({
+    "bool_matrix_entry": (json.dumps(matrix_with([[True, 0.0], [0.0, -1.0]])), 2,
+                          "config_error"),
+    "string_matrix_entry": (json.dumps(matrix_with([["1.5", 0.0], [0.0, -1.0]])), 2,
+                            "config_error"),
+    "ragged_matrix_row": (json.dumps(matrix_with([[1.0, 0.0], [0.0]])), 2, "config_error"),
+    "huge_integer_in_re": (json.dumps(matrix_with([[HUGE, 0.0], [0.0, -1.0]])), 2,
+                           "config_error"),
+    "huge_integer_in_psi0": (json.dumps(evolve_config(psi0={"re": [HUGE, 0.0],
+                                                            "im": [0.0, 0.0]})),
+                             2, "config_error"),
+    # 1j*inf must not add a RuntimeWarning to the one JSON error line
+    "overflowing_matrix_entry": (json.dumps(matrix_with([[1.0, 0.0], [0.0, -1.0]]))
+                                 .replace('"im": [[0.0', '"im": [[1e999'), 2, "config_error"),
+    "overflowing_hbar": (json.dumps(evolve_config(hbar=1.0)).replace('"hbar": 1.0',
+                                                                     '"hbar": 1e999'),
+                         2, "config_error"),
+    "sweep_step_count_overflow": (json.dumps(sweep_config((1.0, 0.0, 3.0), (1.0, 0.0, 5.0),
+                                                          T=1e300, dt=1e-300)),
+                                  2, "config_error"),
+})
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_on_failing_configs(tmp_path, case):
     text, exit_code, error = CONTRACT_CASES[case]
