@@ -108,7 +108,8 @@ PARAMS_SCHEMAS = {
             "dt": _POSITIVE,
             "csq": {"type": "array", "minItems": 2, "maxItems": 2,
                     "items": _NON_NEGATIVE},
-            "samples": {"type": "integer", "minimum": 2},
+            "samples": {"type": "integer", "minimum": 2,
+                        "maximum": lorentzian.MAX_SAMPLES},
             "hbar": _POSITIVE,
         },
     },
@@ -259,8 +260,8 @@ def _preflight(cfg: dict):
         except ValueError as exc:  # ContinuumConfig's own checks and grid size
             return [ConfigError(f"params: {exc}")], inputs
         inputs["steps"] = check("params.t_final", _horizon_steps, params)
-        check("params.dt", dynamics.check_step,
-              continuum.discretize(config, V), params["dt"], config.hbar)
+        h = inputs["h"] = continuum.discretize(config, V)
+        check("params.dt", dynamics.check_step, h, params["dt"], config.hbar)
 
     return problems, inputs
 
@@ -405,9 +406,10 @@ def _continuum_setup(params, tables):
 
 def _run_continuum(inputs, params, rng):
     config, V, psi0 = inputs["lattice"]
-    field0 = continuum.initial_lattice_state(config, V, psi0)
+    h = inputs["h"]
+    field0 = continuum.initial_lattice_state(config, V, psi0, h=h)
     snaps = continuum.evolve_lattice(config, field0, params["dt"], inputs["steps"],
-                                     record_every=params.get("snapshot_every", 1))
+                                     record_every=params.get("snapshot_every", 1), h=h)
     header = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
     rows = []
     for k, snap in enumerate(snaps):

@@ -177,15 +177,17 @@ def complex_gaussian_potential(x: np.ndarray, center: float, width: float,
     return amplitude * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
 
 
-def initial_lattice_state(config: ContinuumConfig, V, psi0) -> LatticeField:
+def initial_lattice_state(config: ContinuumConfig, V, psi0, h=None) -> LatticeField:
     """Build the t=0 field with the conjugate part from the lattice eigenbasis.
 
     The modal constants default to ``|c_j(0)|^2``, so for real potentials the
-    conjugate field reduces to ``psi^H``.
+    conjugate field reduces to ``psi^H``.  ``h``, if given, is
+    ``discretize(config, V)`` already built.
     """
     V = np.asarray(V, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
-    h = discretize(config, V)
+    if h is None:
+        h = discretize(config, V)
     system = biorthogonal_decompose(h)
     csq = dynamics.default_modal_constants(system, psi0)
     phibar = dynamics.conjugate_field(system, psi0, csq)
@@ -193,9 +195,13 @@ def initial_lattice_state(config: ContinuumConfig, V, psi0) -> LatticeField:
 
 
 def evolve_lattice(config: ContinuumConfig, field0: LatticeField, dt: float,
-                   steps: int, record_every: int = 1) -> list:
-    """RK4-evolve a lattice field; returns LatticeField snapshots."""
-    h = discretize(config, field0.V)
+                   steps: int, record_every: int = 1, h=None) -> list:
+    """RK4-evolve a lattice field; returns LatticeField snapshots.
+
+    ``h``, if given, is ``discretize(config, field0.V)`` already built.
+    """
+    if h is None:
+        h = discretize(config, field0.V)
     state0 = dynamics.StatePair(psi=field0.psi, phibar=field0.phibar,
                                 t=field0.t, hbar=config.hbar)
     traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=record_every)

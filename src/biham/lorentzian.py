@@ -23,6 +23,9 @@ from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoeffic
 
 DEFAULT_SAMPLES = 201
 
+# recorded samples of a sweep above this are refused; each is one CSV row
+MAX_SAMPLES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class LorentzianParams:
@@ -292,14 +295,17 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
         overlaps.append(np.sum(pb * ps))
 
     # scalar 2x2 RK4 kernel; numpy per-step overhead dominates otherwise
+    (x0, y0, z0), (x1, y1, z1) = path.start, path.end
+
     def entries(s):
-        p = path.params_at(s)
-        return complex(p.z), p.x + 1j * p.y
+        """(z, x + iy) at s, with the float operations of ``SweepPath.params_at``."""
+        return complex(z0 + (z1 - z0) * s), (x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s)
+
+    a = -1j / hbar
+    b = 1j / hbar
 
     def rhs(z, w, p1, p2, f1, f2):
         wc = w.conjugate()
-        a = -1j / hbar
-        b = 1j / hbar
         return (a * (z * p1 + w * p2), a * (-wc * p1 - z * p2),
                 b * (f1 * z - f2 * wc), b * (f1 * w - f2 * z))
 
@@ -310,16 +316,17 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
         record(0, np.array([p1, p2]), np.array([f1, f2]))
     half = 0.5 * dt_eff
     sixth = dt_eff / 6.0
+    z_end, w_end = entries(0.0)
     for k in range(steps):
-        z0, w0 = entries(k / steps)
+        z_start, w_start = z_end, w_end  # step k-1's end point, s = k/steps
         zm, wm = entries((k + 0.5) / steps)
-        z1, w1 = entries((k + 1) / steps)
-        a1, a2, a3, a4 = rhs(z0, w0, p1, p2, f1, f2)
+        z_end, w_end = entries((k + 1) / steps)
+        a1, a2, a3, a4 = rhs(z_start, w_start, p1, p2, f1, f2)
         b1, b2, b3, b4 = rhs(zm, wm, p1 + half * a1, p2 + half * a2,
                              f1 + half * a3, f2 + half * a4)
         c1, c2, c3, c4 = rhs(zm, wm, p1 + half * b1, p2 + half * b2,
                              f1 + half * b3, f2 + half * b4)
-        d1, d2, d3, d4 = rhs(z1, w1, p1 + dt_eff * c1, p2 + dt_eff * c2,
+        d1, d2, d3, d4 = rhs(z_end, w_end, p1 + dt_eff * c1, p2 + dt_eff * c2,
                              f1 + dt_eff * c3, f2 + dt_eff * c4)
         p1 += sixth * (a1 + 2 * b1 + 2 * c1 + d1)
         p2 += sixth * (a2 + 2 * b2 + 2 * c2 + d2)

@@ -241,6 +241,21 @@ CONTRACT_CASES.update({
 })
 
 
+
+def sweep_with_samples(samples):
+    cfg = sweep_config((1.0, 0.0, 3.0), (1.0, 0.0, 5.0))
+    cfg["params"]["samples"] = samples
+    return cfg
+
+
+# step counts above dynamics.MAX_STEPS and sweep samples above lorentzian.MAX_SAMPLES
+CONTRACT_CASES.update({
+    "sweep_step_cap": (json.dumps(sweep_config((1.0, 0.0, 3.0), (1.0, 0.0, 5.0),
+                                               T=1e300, dt=0.05)), 2, "config_error"),
+    "evolve_step_cap": (json.dumps(evolve_config(t_final=1e20, dt=0.1)), 2, "config_error"),
+    "sweep_samples_cap": (json.dumps(sweep_with_samples(HUGE)), 2, "config_error"),
+})
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_on_failing_configs(tmp_path, case):
     text, exit_code, error = CONTRACT_CASES[case]
