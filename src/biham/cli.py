@@ -109,7 +109,7 @@ PARAMS_SCHEMAS = {
             "csq": {"type": "array", "minItems": 2, "maxItems": 2,
                     "items": _NON_NEGATIVE},
             "samples": {"type": "integer", "minimum": 2,
-                        "maximum": lorentzian.MAX_SAMPLES},
+                        "maximum": dynamics.MAX_RECORDS},
             "hbar": _POSITIVE,
         },
     },
@@ -198,6 +198,14 @@ def _horizon_steps(params) -> int:
     return steps
 
 
+def _check_rows(steps: int, every: int) -> None:
+    """ConfigError if ``steps`` steps recorded every ``every`` make more than MAX_RECORDS rows."""
+    rows = -(-steps // every) + 1  # every multiple of ``every``, the start and the last step
+    if rows > dynamics.MAX_RECORDS:
+        raise ConfigError(f"{steps} steps recorded every {every} make {rows} rows, above the "
+                          f"limit of {dynamics.MAX_RECORDS}")
+
+
 def _preflight(cfg: dict):
     """Schema, element and physics checks of a config: ``(problems, inputs)``.
 
@@ -263,6 +271,9 @@ def _preflight(cfg: dict):
         h = inputs["h"] = continuum.discretize(config, V)
         check("params.dt", dynamics.check_step, h, params["dt"], config.hbar)
 
+    if inputs.get("steps") is not None:  # evolve and continuum
+        check("params.snapshot_every", _check_rows, inputs["steps"],
+              params.get("snapshot_every", 1))
     return problems, inputs
 
 

@@ -19,6 +19,10 @@ from .spectral import biorthogonal_decompose
 
 _MIN_POINTS = 8
 
+# grids above this are refused: the generator is a dense N x N matrix
+# (268 MB at this size) that the run decomposes
+MAX_SITES = 4096
+
 
 @dataclass(frozen=True)
 class ContinuumConfig:
@@ -33,6 +37,8 @@ class ContinuumConfig:
     def __post_init__(self):
         if self.N < _MIN_POINTS:
             raise ValueError(f"need at least {_MIN_POINTS} grid points")
+        if self.N > MAX_SITES:
+            raise ValueError(f"N exceeds the limit of {MAX_SITES} grid points")
         if self.L <= 0 or self.m <= 0 or self.hbar <= 0:
             raise ValueError("L, m and hbar must be positive")
         if self.boundary != "periodic":

@@ -33,6 +33,10 @@ ABSENT_MODE_CUTOFF = 1e-12
 # step counts above this are refused as a config error, not run for hours
 MAX_STEPS = 10 ** 8
 
+# recorded rows of a run above this are refused: evolve and continuum
+# snapshots, sweep samples; each is held in memory and written as one CSV row
+MAX_RECORDS = 10 ** 6
+
 
 def _state_vector(v, n=None) -> np.ndarray:
     v = np.asarray(v, dtype=complex)

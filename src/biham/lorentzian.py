@@ -23,9 +23,6 @@ from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoeffic
 
 DEFAULT_SAMPLES = 201
 
-# recorded samples of a sweep above this are refused; each is one CSV row
-MAX_SAMPLES = 10 ** 6
-
 
 @dataclass(frozen=True)
 class LorentzianParams:
@@ -256,6 +253,75 @@ def _instantaneous_actions(p: LorentzianParams, psi, phibar, hbar: float,
     return hbar * cbar * c
 
 
+# steps per block of the sweep kernel: its arrays hold O(_BLOCK) entries at any step count
+_BLOCK = 1024
+
+# The sweep kernel's 2x2 matrices all have the form [[a, b], [conj(b), conj(a)]]:
+# -i*dt*h/hbar has it (a = -i*dt*z/hbar with z real, b = -i*dt*(x + iy)/hbar),
+# so has its negated transpose, and real combinations and products keep it.
+# Each is stored as its first row (a, b): shape (2, 2, ...) is [a or b, field, ...].
+
+
+def _mul(p, q):
+    """Products ``p[..., k] @ q[..., k]`` of matrices stored as their rows (a, b)."""
+    (pa, pb), (qa, qb) = p, q
+    return np.array([pa * qa + pb * qb.conj(), pa * qb + pb * qa.conj()])
+
+
+def _generators(path: SweepPath, rate: float, s: np.ndarray) -> np.ndarray:
+    """``-i*rate*h(s)`` for psi and ``+i*rate*h(s)^T`` for phibar^T, at each s.
+
+    Field 0 is psi' = -(i/hbar) h psi and field 1 is phibar as a column,
+    phibar^T' = +(i/hbar) h^T phibar^T, so both take the same column steps.
+    h(s) has the float operations of ``SweepPath.params_at``.
+    """
+    (x0, y0, z0), (x1, y1, z1) = path.start, path.end
+    a = (-1j * rate) * (z0 + (z1 - z0) * s)
+    b = (-1j * rate) * ((x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s))
+    return np.array([[a, -a], [b, -b.conj()]])
+
+
+def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int,
+                    k0: int, k1: int) -> np.ndarray:
+    """``D_k = M_k - I`` for steps ``k0 <= k < k1``, last axis k.
+
+    ``M_k`` is one classical RK4 step of the linear ODE ``x' = A(s) x`` from A
+    at ``s = k/steps``, ``(k + 1/2)/steps`` and ``(k + 1)/steps``, which is
+    exact because h is affine in s.  Each stage is kept scaled by ``dt``.
+    """
+    # k/steps at even entries, (k + 1/2)/steps at odd ones, with the same roundings
+    g = _generators(path, dt / hbar, np.arange(2 * k0, 2 * k1 + 1) / 2 / steps)
+    a0, am, a1 = g[..., 0:-1:2], g[..., 1::2], g[..., 2::2]
+    k2 = am + 0.5 * _mul(am, a0)
+    k3 = am + 0.5 * _mul(am, k2)
+    k4 = a1 + _mul(a1, k3)
+    return (a0 + 2.0 * (k2 + k3) + k4) / 6.0
+
+
+def _compose(inc: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Increment of each piece ``cuts[p] <= k < cuts[p + 1]`` of ``inc[..., k]``, last axis p.
+
+    ``E`` of a piece has ``I + E = (I + D_last) ... (I + D_first)``.  Pieces
+    are padded with zero increments (exact identity steps) to one width and
+    reduced together by a pairwise tree in increment form, ``Ea + Eb + Eb Ea``
+    for ``Ea`` then ``Eb``: the product of the ``I + D`` matrices would round
+    their near-1 diagonals at every step and drift by about ``steps * eps``.
+    Sample marks are near-equally spaced, so the padding stays below about
+    three times the block.
+    """
+    lengths = np.diff(cuts)
+    offsets = np.arange(lengths.max())
+    # a padded slot points past the end, at the appended zero increment
+    at = np.where(offsets < lengths[:, None], cuts[:-1, None] + offsets, inc.shape[-1])
+    inc = np.concatenate((inc, np.zeros(inc.shape[:-1] + (1,), complex)), axis=-1)[..., at]
+    while inc.shape[-1] > 1:
+        n = inc.shape[-1]
+        first, then = inc[..., 0:n - 1:2], inc[..., 1:n:2]
+        pairs = first + then + _mul(then, first)
+        inc = pairs if n % 2 == 0 else np.concatenate((pairs, inc[..., -1:]), axis=-1)
+    return inc[..., 0]
+
+
 def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
                     require_real_spectrum: bool = True) -> ActionRecord:
     """Integrate the coupled pair along ``h(path(t/T))`` and record the actions.
@@ -264,8 +330,14 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     whose fixed branch labels the modes continuously: inside the real regime
     ``z`` cannot change sign, so no eigenvalue-sorting label swaps can occur.
     Mode 1 is the positive-norm (u, v) mode with ``E = sgn(z) * sqrt(z^2 -
-    x^2 - y^2)``, mode 2 carries ``-E``.  It takes ``round(T/dt)`` steps
-    of ``dt_eff = T/steps``, so it ends exactly at ``T``.
+    x^2 - y^2)``, mode 2 carries ``-E``.  It takes ``round(T/dt)`` classical
+    RK4 steps of ``dt_eff = T/steps``, so it ends exactly at ``T``.
+
+    h is affine in s, so each RK4 step is exactly a 2x2 matrix ``M_k`` per
+    field.  The kernel builds the increments ``M_k - I`` in blocks of at most
+    ``_BLOCK`` steps, composes them between recorded samples, and applies
+    one composed increment per piece: Python runs per block and per sample,
+    not per step, and memory does not grow with the step count.
 
     Raises
     ------
@@ -274,6 +346,8 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
         while the invariant test is active (``require_real_spectrum=True``).
     StepTooLarge
         If ``dt_eff`` violates the stability guard anywhere along the path.
+    NonFinite
+        If the state overflows; reported at the first sample after it.
     """
     hbar = state0.hbar
     if require_real_spectrum:
@@ -281,63 +355,34 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     steps = check_sweep_step(path, dt, hbar)
     dt_eff = path.T / steps
 
-    sample_steps = np.unique(np.round(np.linspace(0, steps, path.samples)).astype(int))
-    sample_set = set(int(k) for k in sample_steps)
-
+    marks = np.unique(np.round(np.linspace(0, steps, path.samples)).astype(int))
     times, actions, overlaps = [], [], []
 
-    def record(k, ps, pb):
-        t = k * dt_eff
-        p = path.params_at(k / steps)
-        times.append(t)
-        actions.append(_instantaneous_actions(p, ps, pb, hbar,
+    def record(k, x):
+        psi, phibar = x[:, 0], x[:, 1]
+        times.append(k * dt_eff)
+        actions.append(_instantaneous_actions(path.params_at(k / steps), psi, phibar, hbar,
                                               tolerant=not require_real_spectrum))
-        overlaps.append(np.sum(pb * ps))
+        overlaps.append(np.sum(phibar * psi))
 
-    # scalar 2x2 RK4 kernel; numpy per-step overhead dominates otherwise
-    (x0, y0, z0), (x1, y1, z1) = path.start, path.end
-
-    def entries(s):
-        """(z, x + iy) at s, with the float operations of ``SweepPath.params_at``."""
-        return complex(z0 + (z1 - z0) * s), (x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s)
-
-    a = -1j / hbar
-    b = 1j / hbar
-
-    def rhs(z, w, p1, p2, f1, f2):
-        wc = w.conjugate()
-        return (a * (z * p1 + w * p2), a * (-wc * p1 - z * p2),
-                b * (f1 * z - f2 * wc), b * (f1 * w - f2 * z))
-
-    p1, p2 = complex(state0.psi[0]), complex(state0.psi[1])
-    f1, f2 = complex(state0.phibar[0]), complex(state0.phibar[1])
-
-    if 0 in sample_set:
-        record(0, np.array([p1, p2]), np.array([f1, f2]))
-    half = 0.5 * dt_eff
-    sixth = dt_eff / 6.0
-    z_end, w_end = entries(0.0)
-    for k in range(steps):
-        z_start, w_start = z_end, w_end  # step k-1's end point, s = k/steps
-        zm, wm = entries((k + 0.5) / steps)
-        z_end, w_end = entries((k + 1) / steps)
-        a1, a2, a3, a4 = rhs(z_start, w_start, p1, p2, f1, f2)
-        b1, b2, b3, b4 = rhs(zm, wm, p1 + half * a1, p2 + half * a2,
-                             f1 + half * a3, f2 + half * a4)
-        c1, c2, c3, c4 = rhs(zm, wm, p1 + half * b1, p2 + half * b2,
-                             f1 + half * b3, f2 + half * b4)
-        d1, d2, d3, d4 = rhs(z_end, w_end, p1 + dt_eff * c1, p2 + dt_eff * c2,
-                             f1 + dt_eff * c3, f2 + dt_eff * c4)
-        p1 += sixth * (a1 + 2 * b1 + 2 * c1 + d1)
-        p2 += sixth * (a2 + 2 * b2 + 2 * c2 + d2)
-        f1 += sixth * (a3 + 2 * b3 + 2 * c3 + d3)
-        f2 += sixth * (a4 + 2 * b4 + 2 * c4 + d4)
-        if (k + 1) in sample_set:
-            psi = np.array([p1, p2])
-            phibar = np.array([f1, f2])
-            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
-                raise NonFinite(f"sweep state overflowed at step {k + 1}")
-            record(k + 1, psi, phibar)
+    # column j is the field: psi, then phibar as a column
+    x = np.stack([state0.psi, state0.phibar], axis=1)
+    record(0, x)
+    next_mark = 1
+    # overflow is a detected condition here, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, steps, _BLOCK):
+            k1 = min(k0 + _BLOCK, steps)
+            inner = marks[np.searchsorted(marks, k0, "right"):np.searchsorted(marks, k1)]
+            cuts = np.concatenate(([k0], inner, [k1]))
+            pieces = _compose(_rk4_increments(path, dt_eff, hbar, steps, k0, k1), cuts - k0)
+            for end, (a, b) in zip(cuts[1:].tolist(), np.moveaxis(pieces, -1, 0)):
+                x = x + np.array([a * x[0] + b * x[1], b.conj() * x[0] + a.conj() * x[1]])
+                if end == marks[next_mark]:
+                    if not np.all(np.isfinite(x)):
+                        raise NonFinite(f"sweep state overflowed at step {end}")
+                    record(end, x)
+                    next_mark += 1
 
     times = np.asarray(times)
     actions = np.asarray(actions)

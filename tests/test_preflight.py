@@ -248,13 +248,22 @@ def sweep_with_samples(samples):
     return cfg
 
 
-# step counts above dynamics.MAX_STEPS and sweep samples above lorentzian.MAX_SAMPLES
+# step counts above dynamics.MAX_STEPS and sweep samples above dynamics.MAX_RECORDS
 CONTRACT_CASES.update({
     "sweep_step_cap": (json.dumps(sweep_config((1.0, 0.0, 3.0), (1.0, 0.0, 5.0),
                                                T=1e300, dt=0.05)), 2, "config_error"),
     "evolve_step_cap": (json.dumps(evolve_config(t_final=1e20, dt=0.1)), 2, "config_error"),
     "sweep_samples_cap": (json.dumps(sweep_with_samples(HUGE)), 2, "config_error"),
 })
+
+# 10**6 steps recorded at every step make 10**6 + 1 rows, one above dynamics.MAX_RECORDS
+ROWS_OVER_CAP = {"t_final": 1e5, "dt": 0.1}
+CONTRACT_CASES.update({
+    "evolve_rk4_rows_cap": (json.dumps(evolve_config(**ROWS_OVER_CAP)), 2, "config_error"),
+    "evolve_exact_rows_cap": (json.dumps(evolve_config(method="exact", **ROWS_OVER_CAP)), 2,
+                              "config_error"),
+})
+
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_on_failing_configs(tmp_path, case):
@@ -288,3 +297,71 @@ def test_grazing_sweep_both_routes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "outside_real_regime"
     assert not (tmp_path / "out").exists()
 
+
+
+# ---------------------------------------------------------------------------
+# resource caps: recorded rows (evolve, continuum) and continuum grid points
+
+
+def routes(tmp_path, cfg, capsys):
+    """Exit codes and outputs of ``--validate-only`` and of the run through ``main()``."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    argv = [cfg["command"], "--config", str(config), "--out", str(tmp_path / "out")]
+    validate = main(argv + ["--validate-only"])
+    diags = json.loads(capsys.readouterr().out)
+    run = main(argv)
+    err = capsys.readouterr().err.strip().split("\n")
+    return validate, diags, run, err
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("t_final, every, rows", [
+    (99999.9, 1, 10 ** 6),
+    (1e5, 1, 10 ** 6 + 1),
+    (1e5, 2, 500001),
+    (199999.7, 2, 10 ** 6),       # 1999997 steps: the last is recorded too
+    (199999.9, 2, 10 ** 6 + 1),
+    (1e5, 10 ** 6, 2),
+])
+def test_evolve_rows_cap_counts_every_recorded_row(method, t_final, every, rows):
+    cfg = evolve_config(method=method, t_final=t_final, dt=0.1, snapshot_every=every)
+    diags = validate_config(cfg)
+    if rows <= biham.dynamics.MAX_RECORDS:
+        assert diags == []
+    else:
+        assert len(diags) == 1 and diags[0].startswith("params.snapshot_every: ")
+        assert f" make {rows} rows" in diags[0]
+
+
+def continuum_config(**params):
+    cfg = load_config(FIXTURES / "continuum_gaussian.json")
+    cfg["params"].update(params)
+    return cfg
+
+
+def test_continuum_rows_cap_both_routes(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an over-cap run must not start")
+
+    # dt = 0.0005: 10**6 steps
+    assert validate_config(continuum_config(t_final=500.0, snapshot_every=2)) == []
+    monkeypatch.setitem(biham.cli._RUNNERS, "continuum", forbidden)
+    validate, diags, run, err = routes(tmp_path, continuum_config(t_final=500.0,
+                                                                  snapshot_every=1), capsys)
+    assert validate == 2 and len(diags) == 1 and diags[0].startswith("params.snapshot_every: ")
+    assert run == 2 and len(err) == 1 and json.loads(err[0])["error"] == "config_error"
+    assert not (tmp_path / "out").exists()
+
+
+def test_continuum_grid_cap_both_routes(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an over-cap generator must not be built")
+
+    monkeypatch.setattr(biham.continuum, "discretize", forbidden)
+    validate, diags, run, err = routes(
+        tmp_path, continuum_config(N=biham.continuum.MAX_SITES + 1), capsys)
+    assert validate == 2 and diags == [
+        f"params: N exceeds the limit of {biham.continuum.MAX_SITES} grid points"]
+    assert run == 2 and len(err) == 1 and json.loads(err[0])["error"] == "config_error"
+    assert not (tmp_path / "out").exists()

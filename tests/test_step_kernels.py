@@ -1,22 +1,40 @@
 """The time-stepping kernels: RK4 as its stability polynomial, and the sweep kernel.
 
 ``rk4_trajectory`` applies one precomputed matrix per step and field; it
-must agree with classical RK4 taken stage by stage.  The sweep kernel's
-output is pinned to the frozen maximum deviation far below the looser
-acceptance gates.  Step counts and sweep samples have hard caps.
+must agree with classical RK4 taken stage by stage.  The sweep kernel
+composes blocked one-step RK4 maps between samples; it must agree with the
+scalar stage-by-stage sweep kept here, report overflow at the same sample
+and use memory that does not grow with the step count.  Its output is
+pinned to the frozen maximum deviation far below the looser acceptance
+gates.  Step counts and sweep samples have hard caps.
 """
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biham import cli, continuum
+from biham import cli, continuum, lorentzian
 from biham.cli import main
-from biham.dynamics import MAX_STEPS, StatePair, check_step, rk4_trajectory, step_count
+from biham.dynamics import (
+    ABSENT_MODE_CUTOFF,
+    MAX_STEPS,
+    StatePair,
+    check_step,
+    rk4_trajectory,
+    step_count,
+)
 from biham.errors import ConfigError, NonFinite, StepTooLarge
+from biham.lorentzian import (
+    SweepPath,
+    _instantaneous_actions,
+    check_sweep_step,
+    initial_sweep_state,
+    sweep_adiabatic,
+)
 
 from helpers import random_diagonalizable, random_state
 
@@ -116,3 +134,153 @@ def test_continuum_run_builds_its_generator_once(tmp_path, monkeypatch):
     cfg = json.loads((FIXTURES / "continuum_gaussian.json").read_text())
     cli.run_config(cfg, tmp_path)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# sweep kernel: blocked one-step RK4 maps against RK4 taken stage by stage
+
+
+def stagewise_sweep(path, state0, dt, require_real_spectrum=True):
+    """The sweep as scalar RK4, four stages per step: (times, actions, deviations, overlaps)."""
+    hbar = state0.hbar
+    steps = check_sweep_step(path, dt, hbar)
+    dt_eff = path.T / steps
+    marks = set(np.unique(np.round(np.linspace(0, steps, path.samples)).astype(int)).tolist())
+    times, actions, overlaps = [], [], []
+
+    def record(k, psi, phibar):
+        times.append(k * dt_eff)
+        actions.append(_instantaneous_actions(path.params_at(k / steps), psi, phibar, hbar,
+                                              tolerant=not require_real_spectrum))
+        overlaps.append(np.sum(phibar * psi))
+
+    (x0, y0, z0), (x1, y1, z1) = path.start, path.end
+
+    def entries(s):
+        return complex(z0 + (z1 - z0) * s), (x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s)
+
+    a, b = -1j / hbar, 1j / hbar
+
+    def rhs(z, w, p1, p2, f1, f2):
+        wc = w.conjugate()
+        return (a * (z * p1 + w * p2), a * (-wc * p1 - z * p2),
+                b * (f1 * z - f2 * wc), b * (f1 * w - f2 * z))
+
+    p1, p2 = complex(state0.psi[0]), complex(state0.psi[1])
+    f1, f2 = complex(state0.phibar[0]), complex(state0.phibar[1])
+    record(0, np.array([p1, p2]), np.array([f1, f2]))
+    half, sixth = 0.5 * dt_eff, dt_eff / 6.0
+    for k in range(steps):
+        zs, ws = entries(k / steps)
+        zm, wm = entries((k + 0.5) / steps)
+        ze, we = entries((k + 1) / steps)
+        a1, a2, a3, a4 = rhs(zs, ws, p1, p2, f1, f2)
+        b1, b2, b3, b4 = rhs(zm, wm, p1 + half * a1, p2 + half * a2,
+                             f1 + half * a3, f2 + half * a4)
+        c1, c2, c3, c4 = rhs(zm, wm, p1 + half * b1, p2 + half * b2,
+                             f1 + half * b3, f2 + half * b4)
+        d1, d2, d3, d4 = rhs(ze, we, p1 + dt_eff * c1, p2 + dt_eff * c2,
+                             f1 + dt_eff * c3, f2 + dt_eff * c4)
+        p1 += sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+        p2 += sixth * (a2 + 2 * b2 + 2 * c2 + d2)
+        f1 += sixth * (a3 + 2 * b3 + 2 * c3 + d3)
+        f2 += sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+        if k + 1 in marks:
+            psi, phibar = np.array([p1, p2]), np.array([f1, f2])
+            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
+                raise NonFinite(f"sweep state overflowed at step {k + 1}")
+            record(k + 1, psi, phibar)
+
+    actions = np.asarray(actions)
+    base = actions[0]
+    scale = np.where(np.abs(base) > ABSENT_MODE_CUTOFF, np.abs(base), 1.0)
+    return np.asarray(times), actions, np.abs(actions - base) / scale, np.asarray(overlaps)
+
+
+def assert_same_sweep(record, want):
+    times, actions, deviations, overlaps = want
+    assert np.array_equal(record.times, times)
+    assert np.max(np.abs(record.actions - actions)) <= 1e-12 * np.max(np.abs(actions))
+    assert np.max(np.abs(record.overlaps - overlaps)) <= 1e-12 * np.max(np.abs(overlaps))
+    # deviations are already relative to |I_j(0)| (absolute for an empty mode)
+    assert np.max(np.abs(record.deviations - deviations)) <= 1e-12
+
+
+def random_segment(rng):
+    """Endpoints strictly inside the real regime with one sign of z, and csq."""
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    ends = []
+    for _ in range(2):
+        z = sign * rng.uniform(0.5, 4.0)
+        r, angle = abs(z) * rng.uniform(0.0, 0.9), rng.uniform(0.0, 2 * np.pi)
+        ends.append((r * np.cos(angle), r * np.sin(angle), z))
+    csq = rng.uniform(0.2, 2.0, 2)
+    if rng.random() < 0.3:
+        csq[rng.integers(2)] = 0.0  # one mode empty
+    return ends[0], ends[1], csq
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("samples", [2, 3, 201, None])  # None: every step
+def test_sweep_kernel_matches_stagewise_rk4(seed, samples):
+    rng = np.random.default_rng(2000 + seed)
+    start, end, csq = random_segment(rng)
+    hbar = float(rng.uniform(0.5, 2.0))
+    T, dt = float(rng.uniform(1.0, 20.0)), float(rng.uniform(0.005, 0.02))
+    steps = step_count(T, dt)
+    path = SweepPath.linear(start, end, T, samples=samples or steps + 1)
+    state0 = initial_sweep_state(path, csq, hbar)
+    assert_same_sweep(sweep_adiabatic(path, state0, dt), stagewise_sweep(path, state0, dt))
+
+
+B = lorentzian._BLOCK
+
+
+@pytest.mark.parametrize("block, steps, samples", [
+    (1, 101, 37),
+    (1, 12, 13),             # every step recorded
+    (7, 28, 5),              # marks on the edges of 7-step blocks
+    (7, 101, 37),
+    (64, 256, 5),
+    (64, 2 * 64 + 3, 201),   # more samples than steps
+    (B, 2 * B + 3, 3),       # not a multiple of the block
+    (B, 4 * B, 5),           # marks on the edges of full blocks
+    (B, 4 * B, 9),
+])
+def test_sweep_kernel_block_edges(monkeypatch, block, steps, samples):
+    monkeypatch.setattr(lorentzian, "_BLOCK", block)
+    path = SweepPath.linear((0.4, -0.3, 2.0), (0.9, 0.5, 3.5), T=steps * 0.01, samples=samples)
+    state0 = initial_sweep_state(path, [1.0, 0.3])
+    assert_same_sweep(sweep_adiabatic(path, state0, 0.01), stagewise_sweep(path, state0, 0.01))
+
+
+@pytest.mark.parametrize("block", [64, lorentzian._BLOCK])
+def test_sweep_overflow_reported_at_the_same_sample(monkeypatch, block):
+    # outside the real regime the modes grow as exp(10 t): the state passes
+    # the float range near t = 71, between the samples at t = 70 and t = 80
+    monkeypatch.setattr(lorentzian, "_BLOCK", block)
+    path = SweepPath.linear((10.0, 0.0, 0.5), (10.0, 0.0, 1.0), T=100.0, samples=11)
+    state0 = StatePair(psi=np.array([1.0, 0.5j]), phibar=np.array([0.5, 1.0]))
+    # the reference's overlaps overflow at the samples before the state does
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite, match="at step 8000$"):
+        stagewise_sweep(path, state0, 0.01, require_real_spectrum=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="at step 8000$"):
+            sweep_adiabatic(path, state0, 0.01, require_real_spectrum=False)
+
+
+def test_sweep_memory_does_not_grow_with_steps():
+    def peak(steps):
+        path = SweepPath.linear((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=steps * 0.0025, samples=2)
+        state0 = initial_sweep_state(path, [1.0, 0.0])
+        tracemalloc.start()
+        try:
+            sweep_adiabatic(path, state0, 0.0025)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * 10 ** 4), peak(2 * 10 ** 5)
+    assert large - small <= 2 ** 20
