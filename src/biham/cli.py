@@ -246,6 +246,17 @@ def _preflight(cfg: dict):
         inputs["steps"] = check("params.t_final", _horizon_steps, params)
         if params["method"] == "rk4":
             check("params.dt", dynamics.check_step, h, params["dt"], hbar)
+        elif not problems:
+            # every mode grows or decays monotonically, so the last record is
+            # the largest: evaluating it is an exact overflow check
+            system = inputs["system"] = check("params.matrix",
+                                              spectral.biorthogonal_decompose, h)
+            if system is not None:  # evolve requires psi0, so no random state is drawn
+                state0 = inputs["state0"] = check("params.psi0", _initial_state,
+                                                  system, inputs, params, None)
+                if state0 is not None:
+                    check("params.t_final", dynamics.evolve_exact, system, state0,
+                          inputs["steps"] * params["dt"])
 
     elif command == "sweep":
         p = params["path"]
@@ -262,13 +273,19 @@ def _preflight(cfg: dict):
         if problems:
             return problems, inputs
         try:
-            config, V, _ = inputs["lattice"] = _continuum_setup(params, inputs)
+            # extreme centers, widths or phases give inf or nan here, not
+            # warnings; psi0 and the generator are then refused as not finite
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                config, V, _ = inputs["lattice"] = _continuum_setup(params, inputs)
+                h = inputs["h"] = continuum.discretize(config, V)
         except ConfigError as exc:
             return [exc], inputs
         except ValueError as exc:  # ContinuumConfig's own checks and grid size
             return [ConfigError(f"params: {exc}")], inputs
+        if not np.all(np.isfinite(h)):
+            return [ConfigError("params: the generator diagonal hbar^2/(m dx^2) + V leaves "
+                                "the float range")], inputs
         inputs["steps"] = check("params.t_final", _horizon_steps, params)
-        h = inputs["h"] = continuum.discretize(config, V)
         check("params.dt", dynamics.check_step, h, params["dt"], config.hbar)
 
     if inputs.get("steps") is not None:  # evolve and continuum
@@ -334,18 +351,18 @@ def _run_decompose(inputs, params, rng):
 
 def _run_evolve(inputs, params, rng):
     h, steps = inputs["h"], inputs["steps"]
-    system = spectral.biorthogonal_decompose(h)
-    state0 = _initial_state(system, inputs, params, rng)
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
     if params["method"] == "rk4":
+        state0 = _initial_state(spectral.biorthogonal_decompose(h), inputs, params, rng)
         snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
-    else:
+    else:  # the preflight decomposed h, built state0 and checked the last record
+        system, state0 = inputs["system"], inputs["state0"]
         marks = list(range(0, steps + 1, every))
         if marks[-1] != steps:
             marks.append(steps)
         snaps = [dynamics.evolve_exact(system, state0, k * dt) for k in marks]
-    return ("csv", (_state_columns(system.n), [_state_row(s) for s in snaps]))
+    return ("csv", (_state_columns(h.shape[0]), [_state_row(s) for s in snaps]))
 
 
 def _run_verify(inputs, params, rng):
@@ -412,6 +429,10 @@ def _continuum_setup(params, tables):
         psi0 = psi0 / np.sqrt(np.sum(np.abs(psi0) ** 2) * config.dx)
     else:
         psi0 = tables["psi0"]
+    norm = np.sum(np.abs(psi0) ** 2)
+    if not (np.all(np.isfinite(psi0)) and 0.0 < norm < np.inf):
+        raise ConfigError("params.psi0: the initial state must have finite entries and a "
+                          "finite nonzero norm on the grid")
     return config, V, psi0
 
 
@@ -422,10 +443,14 @@ def _run_continuum(inputs, params, rng):
     snaps = continuum.evolve_lattice(config, field0, params["dt"], inputs["steps"],
                                      record_every=params.get("snapshot_every", 1), h=h)
     header = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
+    # the time stencil of a row needs equal gaps: not the end rows, nor the
+    # row before a shorter last interval when snapshot_every does not divide steps
+    uneven = inputs["steps"] % params.get("snapshot_every", 1) != 0
+    last = len(snaps) - 2 if uneven else len(snaps) - 1
     rows = []
     for k, snap in enumerate(snaps):
         q = continuum.lattice_charge(snap, config.dx)
-        if 0 < k < len(snaps) - 1:
+        if 0 < k < last:
             resid = continuum.continuity_residual(snaps[k - 1:k + 2], config)
         else:
             resid = float("nan")

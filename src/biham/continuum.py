@@ -9,6 +9,7 @@ continuity equation up to the stencil order.  Everything verified here is
 dimension-independent; one dimension suffices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,25 @@ class ContinuumConfig:
             raise ValueError(f"N exceeds the limit of {MAX_SITES} grid points")
         if self.L <= 0 or self.m <= 0 or self.hbar <= 0:
             raise ValueError("L, m and hbar must be positive")
+        try:
+            coeff = self.kinetic_coeff
+        except (OverflowError, ZeroDivisionError):
+            coeff = math.inf
+        # the kinetic band spans [0, 4 coeff]; the generator must hold it in floats
+        if not 0.0 < 4.0 * coeff < math.inf:
+            raise ValueError(f"the kinetic scale hbar^2/(2 m dx^2) = {coeff:.3g} leaves the "
+                             f"float range")
         if self.boundary != "periodic":
             raise ValueError("only periodic boundaries are supported")
 
     @property
     def dx(self) -> float:
         return self.L / self.N
+
+    @property
+    def kinetic_coeff(self) -> float:
+        """Nearest-neighbour scale ``hbar^2 / (2 m dx^2)`` of the kinetic stencil."""
+        return self.hbar ** 2 / (2.0 * self.m * self.dx ** 2)
 
     def grid(self) -> np.ndarray:
         return np.arange(self.N) * self.dx
@@ -89,7 +103,7 @@ def discretize(config: ContinuumConfig, V) -> np.ndarray:
     if V.shape != (config.N,):
         raise ValueError(f"potential must have {config.N} samples")
     n = config.N
-    coeff = config.hbar ** 2 / (2.0 * config.m * config.dx ** 2)
+    coeff = config.kinetic_coeff
     h = np.zeros((n, n), dtype=complex)
     idx = np.arange(n)
     h[idx, idx] = 2.0 * coeff + V

@@ -11,8 +11,9 @@ Two propagators are provided: exact eigenbasis propagation through a
 integrator for cross-validation (global error O(dt^4), no adaptive stepping).
 For constant ``h`` one RK4 step is exactly its stability polynomial
 ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` at ``z = -i*dt*h/hbar``, so the
-integrator builds ``R(z) - 1`` once and applies it as one matrix-vector
-product per step and field.
+integrator builds ``D = R(z) - 1`` once, raises ``I + D`` to the number of
+steps between records by binary powering in increment form, and applies
+the result as one matrix-vector product per recorded interval and field.
 """
 
 from dataclasses import dataclass, field
@@ -124,7 +125,8 @@ def default_modal_constants(system: BiorthogonalSystem, psi,
     ``|cbar_j(0)| = |c_j(0)|``.
     """
     c = expand_state(system, psi)
-    csq = np.abs(c) ** 2
+    with np.errstate(over="ignore"):  # an overflow is inf here, NonFinite in conjugate_field
+        csq = np.abs(c) ** 2
     csq[np.abs(c) <= cutoff] = 0.0
     return csq
 
@@ -139,6 +141,9 @@ def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
     ZeroModalCoefficient
         If ``csq_j > 0`` for a mode with ``|<b_j|psi>|`` at or below the
         absent-mode cutoff.
+    NonFinite
+        If the field overflows, as it does for ``|c_j|^2`` beyond the float
+        range.
     """
     psi = _state_vector(psi, system.n)
     csq = np.asarray(csq, dtype=float)
@@ -156,8 +161,13 @@ def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
             f"the requested mode is absent from psi"
         )
     cbar = np.zeros_like(c)
-    cbar[occupied] = csq[occupied] / c[occupied]
-    return system.left.conj() @ cbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        cbar[occupied] = csq[occupied] / c[occupied]
+        phibar = system.left.conj() @ cbar
+    if not np.all(np.isfinite(phibar)):
+        raise NonFinite(f"the conjugate field overflows: modal constants up to "
+                        f"{np.max(csq):.3g}")
+    return phibar
 
 
 def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> StatePair:
@@ -215,12 +225,33 @@ def _rk4_increment(z: np.ndarray) -> np.ndarray:
     return z + (z2 / 2.0 + ((z2 @ z) / 6.0 + (z2 @ z2) / 24.0))
 
 
+def _increment_power(d: np.ndarray, k: int) -> np.ndarray:
+    """``E`` with ``I + E = (I + d)^k``, by binary powering in increment form.
+
+    Doubling is ``E_2k = 2 E_k + E_k^2`` and two powers combine as
+    ``E_a + E_b + E_b E_a``; ``I + E`` is never formed, for the reason given
+    in :func:`_rk4_increment`.  ``k = 1`` returns ``d`` itself.
+    """
+    result = None
+    while True:
+        if k & 1:
+            result = d if result is None else result + d + d @ result
+        k >>= 1
+        if not k:
+            return result
+        d = 2.0 * d + d @ d
+
+
 def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
                    record_every: int = 1) -> list:
     """Fixed-step RK4 trajectory of the coupled system under constant ``h``.
 
     Returns the recorded :class:`StatePair` snapshots (always including the
-    initial and final states).
+    initial and final states).  Each recorded interval of ``k`` steps is one
+    product with the increment of ``R(z)^k``, formed once per run for
+    ``record_every`` and for a shorter last interval; an interval whose
+    increment overflows, as that of a growing mode can before the state
+    does, is taken one step at a time.
 
     Raises
     ------
@@ -243,17 +274,28 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
 
     psi, phibar = state0.psi, state0.phibar
     out = [state0]
+    powers = {}  # interval length -> its two increments, or None if one overflows
+    k = 0
     # overflow is a detected condition here, not a warning; inf and nan
     # survive every later product, so checking recorded steps catches it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            psi = psi + delta_psi @ psi
-            phibar = phibar + phibar @ delta_phibar
-            if k % record_every == 0 or k == steps:
-                if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
-                    raise NonFinite(
-                        f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
-                out.append(StatePair(psi=psi, phibar=phibar, t=state0.t + k * dt, hbar=hbar))
+        while k < steps:
+            m = min(record_every, steps - k)
+            if m not in powers:
+                pair = _increment_power(delta_psi, m), _increment_power(delta_phibar, m)
+                powers[m] = pair if all(np.all(np.isfinite(e)) for e in pair) else None
+            if powers[m] is None:
+                for _ in range(m):
+                    psi = psi + delta_psi @ psi
+                    phibar = phibar + phibar @ delta_phibar
+            else:
+                e_psi, e_phibar = powers[m]
+                psi = psi + e_psi @ psi
+                phibar = phibar + phibar @ e_phibar
+            k += m
+            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
+                raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
+            out.append(StatePair(psi=psi, phibar=phibar, t=state0.t + k * dt, hbar=hbar))
     return out
 
 

@@ -365,3 +365,101 @@ def test_continuum_grid_cap_both_routes(tmp_path, capsys, monkeypatch):
         f"params: N exceeds the limit of {biham.continuum.MAX_SITES} grid points"]
     assert run == 2 and len(err) == 1 and json.loads(err[0])["error"] == "config_error"
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# overflow and uneven records: typed on both routes, with no warning
+
+
+def both_routes(tmp_path, cfg, capfd):
+    """``routes`` at the file-descriptor level, with the warnings raised on the way."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    argv = [cfg["command"], "--config", str(config), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate = main(argv + ["--validate-only"])
+        out, err = capfd.readouterr()
+        assert err == ""
+        diags = json.loads(out)
+        run = main(argv)
+        out, err = capfd.readouterr()
+    assert out == "" and caught == []
+    return validate, diags, run, err.strip().split("\n") if err else []
+
+
+def assert_refused(tmp_path, cfg, capfd, validate_code, run_code, error, where):
+    validate, diags, run, err = both_routes(tmp_path, cfg, capfd)
+    assert validate == validate_code
+    if validate_code == 0:
+        assert diags == []
+    else:
+        assert len(diags) == 1 and diags[0].startswith(where)
+    assert run == run_code and len(err) == 1
+    assert json.loads(err[0])["error"] == error
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params", [{"hbar": 1e300}, {"L": 1e-300}, {"hbar": 1e154}])
+def test_continuum_kinetic_scale_beyond_float_range(tmp_path, capfd, params):
+    assert_refused(tmp_path, continuum_config(**params), capfd, 2, 2, "config_error",
+                   "params: the kinetic scale")
+
+
+@pytest.mark.parametrize("psi0", [
+    {"kind": "gaussian", "center": 12.0, "width": 1e-3},  # underflows at every grid point
+    {"kind": "plane_wave", "mode": 1e308},                 # its phase k x overflows
+    {"kind": "table", "re": [0.0] * 32, "im": [0.0] * 32},
+])
+def test_continuum_initial_state_must_be_finite_and_nonzero(tmp_path, capfd, psi0):
+    assert_refused(tmp_path, continuum_config(psi0=psi0), capfd, 2, 2, "config_error",
+                   "params.psi0: ")
+
+
+def test_continuum_generator_beyond_float_range(tmp_path, capfd):
+    # the kinetic scale is in range, but 2 hbar^2/(2 m dx^2) + V is not
+    potential = {"kind": "complex_gaussian", "center": 8.0, "width": 1.5, "amp_re": 1.7e308}
+    assert_refused(tmp_path, continuum_config(hbar=4.4e153, potential=potential), capfd,
+                   2, 2, "config_error", "params: the generator diagonal")
+
+
+HUGE_PSI0 = {"re": [1e300, 1e300], "im": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("method, validate_code", [("rk4", 0), ("exact", 2)])
+def test_evolve_conjugate_field_overflow_is_non_finite(tmp_path, capfd, method,
+                                                       validate_code):
+    # |c_j|^2 passes the float range; rk4 configs are not decomposed before the run
+    cfg = evolve_config(psi0=HUGE_PSI0, method=method)
+    assert_refused(tmp_path, cfg, capfd, validate_code, 3, "non_finite", "params.psi0: ")
+
+
+def test_exact_overflow_found_by_validation(tmp_path, capfd, monkeypatch):
+    # the preflight evaluates the last record; the run reuses its system and state
+    calls = []
+    decompose = biham.spectral.biorthogonal_decompose
+
+    def counted(h):
+        calls.append(h)
+        return decompose(h)
+
+    monkeypatch.setattr(biham.spectral, "biorthogonal_decompose", counted)
+    assert_refused(tmp_path, OVERFLOW, capfd, 2, 3, "non_finite", "params.t_final: ")
+    assert len(calls) == 2  # once per route
+    calls.clear()
+    cfg = {**OVERFLOW, "params": {**OVERFLOW["params"], "t_final": 100.0}}
+    validate, diags, run, err = both_routes(tmp_path, cfg, capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+    assert len(calls) == 2
+
+
+def test_continuum_snapshots_not_dividing_the_steps(tmp_path, capfd):
+    # 100 steps recorded every 3: the row at step 99 has gaps 3 and 1
+    validate, diags, run, err = both_routes(tmp_path, continuum_config(snapshot_every=3),
+                                            capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+    header, *lines = (tmp_path / "out" / "continuum.csv").read_text().strip().split("\n")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    resid = rows[:, header.split(",").index("continuity_residual")]
+    assert len(rows) == 35 and rows[-2, 0] == pytest.approx(0.0495)
+    assert np.isnan(resid[[0, -2, -1]]).all() and np.isfinite(resid[1:-2]).all()
