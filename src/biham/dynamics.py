@@ -191,12 +191,17 @@ def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> Sta
 
 
 def check_step(h, dt: float, hbar: float) -> None:
-    """Raise :class:`StepTooLarge` if ``dt * ||h||_2 / hbar`` exceeds the guard."""
+    """Raise :class:`StepTooLarge` if ``dt * ||h||_2 / hbar`` exceeds the guard or is nan.
+
+    ``ValueError`` if ``dt`` is not positive or ``h`` has a non-finite entry.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix entries must be finite")
     with np.errstate(over="ignore"):  # an overflowing ratio is inf and still refused
         ratio = dt * np.linalg.norm(h, 2) / hbar
-    if ratio > MAX_STEP_FRACTION:
+    if not ratio <= MAX_STEP_FRACTION:  # a nan ratio is refused too
         raise StepTooLarge(
             f"dt*||h||/hbar = {ratio:.3g} exceeds the stability guard {MAX_STEP_FRACTION}"
         )

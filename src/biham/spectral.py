@@ -9,8 +9,13 @@ coincide with the usual orthonormal eigenbasis.
 Left vectors are obtained by inverting the right eigenvector matrix, which
 enforces biorthonormality exactly as constructed; they are then cross-checked
 against the adjoint matrix independently.
+
+Tests against ``||h||_2`` are decided from ``||h||_F`` by the classical bounds
+``||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F``; the SVDs of ``h`` and of the adjoint
+residual are taken only when those bounds leave a verdict open.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +76,45 @@ class BiorthogonalSystem:
 
 
 def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
-    """Unit-norm columns with the first nonzero component made real-positive."""
+    """Unit-norm columns with the first nonzero component made real-positive.
+
+    A column with no entry above 1e-9 is phased by its largest one.  The
+    result is C-contiguous, whatever the layout of ``vecs``.
+    """
     vecs = vecs / np.linalg.norm(vecs, axis=0)
-    out = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-9)
-        k = nonzero[0] if nonzero.size else int(np.argmax(np.abs(col)))
-        out[:, j] = col * np.exp(-1j * np.angle(col[k]))
-    return out
+    cols = np.arange(vecs.shape[1])
+    above = np.abs(vecs) > 1e-9
+    k = np.argmax(above, axis=0)
+    tiny = ~above[k, cols]
+    if tiny.any():
+        k[tiny] = np.argmax(np.abs(vecs[:, tiny]), axis=0)
+    return np.multiply(vecs, np.exp(-1j * np.angle(vecs[k, cols])), order="C")
+
+
+def _first_parallel_pair(evals: np.ndarray, right: np.ndarray, reach: float, exact_reach):
+    """Lexicographically first ``(i, j)``, ``i < j``, with ``|E_i - E_j| <= exact_reach()``
+    and ``|<a_i|a_j>| >= _PARALLEL_OVERLAP``, or None.
+
+    Only pairs within ``reach``, an upper bound of ``exact_reach()``, are
+    examined.  ``evals`` are sorted by real part, so the real gap of a pair
+    grows with its lag ``j - i``: the scan stops at the first lag whose real
+    gaps all exceed ``reach`` (lag 1 for a separated spectrum) and holds no
+    n x n array.
+    """
+    first = None
+    for lag in range(1, len(evals)):
+        if np.min(evals.real[lag:] - evals.real[:-lag]) > reach:
+            break
+        close = np.flatnonzero(np.abs(evals[lag:] - evals[:-lag]) <= reach)
+        if first is not None:
+            close = close[close < first[0]]
+        for i in close.tolist():
+            j = i + lag
+            if (abs(np.vdot(right[:, i], right[:, j])) >= _PARALLEL_OVERLAP
+                    and abs(evals[i] - evals[j]) <= exact_reach()):
+                first = (i, j)
+                break
+    return first
 
 
 def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
@@ -89,6 +124,14 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     real-positive); the left family is ``B^H = A^{-1}`` so that
     ``<b_i|a_j> = delta_ij`` holds exactly as constructed, and is then
     residual-checked against ``h^H`` independently.
+
+    ``||h||_2`` (an SVD of ``h``) is computed only if a pair of eigenvalues
+    within ``2 tol ||h||_F`` has parallel eigenvectors, or if the adjoint
+    residual ``R`` has ``||R||_F > max(tol, 1e-8) ||h||_F / (2 sqrt(n))``, or
+    if ``||h||_F`` is outside ``(1e-100, inf)``, where the squares of the
+    entries may under- or overflow.  ``||R||_2`` (an SVD of ``R``) is computed
+    only in the residual case.  Every other verdict follows from
+    ``||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F``.
 
     Parameters
     ----------
@@ -120,27 +163,39 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
             f"right eigenvector matrix is rank deficient "
             f"(singular value ratio {svals[-1] / svals[0]:.3e} < tol {tol:.1e})"
         )
-    scale = np.linalg.norm(h, 2)
-    for i in range(len(evals)):
-        for j in range(i + 1, len(evals)):
-            if abs(evals[i] - evals[j]) <= tol * max(scale, 1e-300):
-                if abs(np.vdot(right[:, i], right[:, j])) >= _PARALLEL_OVERLAP:
-                    raise NotDiagonalizable(
-                        f"eigenvalues {evals[i]:.6g} and {evals[j]:.6g} coincide "
-                        f"within tol*||h|| with a deficient eigenspace"
-                    )
+    scale = functools.cache(lambda: max(np.linalg.norm(h, 2), 1e-300))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and handled below
+        frobenius = np.linalg.norm(h)
+    if 1e-100 < frobenius < np.inf:
+        # ||h||_F / sqrt(n) <= ||h||_2 <= ||h||_F; the factors 2 and 1/2 absorb rounding
+        high, low = 2 * frobenius, 0.5 * frobenius / np.sqrt(len(evals))
+    else:
+        # squares of the entries under- or overflowed, so ||h||_F bounds nothing,
+        # and neither does ||R||_F: the adjoint test is always exact
+        high, low = 2 * scale(), None
+    pair = _first_parallel_pair(evals, right, tol * high, lambda: tol * scale())
+    if pair is not None:
+        i, j = pair
+        raise NotDiagonalizable(
+            f"eigenvalues {evals[i]:.6g} and {evals[j]:.6g} coincide "
+            f"within tol*||h|| with a deficient eigenspace"
+        )
     cond = float(svals[0] / svals[-1])
     left = np.linalg.inv(right).conj().T
 
     # independent cross-check: b_j must be right eigenvectors of h^H
-    adjoint_residual = np.linalg.norm(
-        h.conj().T @ left - left * evals.conj()[None, :], 2
-    ) / max(scale, 1e-300)
-    if adjoint_residual > max(tol, 1e-8):
-        raise NotDiagonalizable(
-            f"left eigenvectors fail the adjoint eigenrelation "
-            f"(relative residual {adjoint_residual:.3e}); numerical degeneracy"
-        )
+    residual = h.conj().T @ left - left * evals.conj()[None, :]
+    limit = max(tol, 1e-8)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and takes the exact test
+        exact = low is None or np.linalg.norm(residual) > limit * low
+    if exact:
+        adjoint_residual = np.linalg.norm(residual, 2) / scale()
+        if adjoint_residual > limit:
+            raise NotDiagonalizable(
+                f"left eigenvectors fail the adjoint eigenrelation "
+                f"(relative residual {adjoint_residual:.3e}); numerical degeneracy"
+            )
+    del residual  # not held while BiorthogonalSystem copies the arrays
     return BiorthogonalSystem(eigenvalues=evals, right=right, left=left, cond=cond)
 
 

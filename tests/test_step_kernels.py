@@ -9,7 +9,8 @@ composes blocked one-step RK4 maps between samples; it must agree with the
 scalar stage-by-stage sweep kept here, report overflow at the same sample
 and use memory that does not grow with the step count.  Its output is
 pinned to the frozen maximum deviation far below the looser acceptance
-gates.  Step counts and sweep samples have hard caps.
+gates.  Step counts and sweep samples have hard caps, and the step guard
+refuses a non-finite generator or step ratio.
 """
 
 import json
@@ -237,6 +238,22 @@ def test_overflowing_step_ratio_is_refused_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(StepTooLarge, match="inf"):
             check_step(np.eye(2) * 10.0, 1e308, 1.0)
+
+
+def test_non_finite_generator_is_refused_silently(capfd):
+    h = np.eye(4)
+    h[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        check_step(h, 0.1, 1.0)
+    h[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        check_step(h, 0.1, 1.0)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_nan_step_ratio_is_refused():
+    with pytest.raises(StepTooLarge, match="nan"):
+        check_step(np.eye(2), float("nan"), 1.0)
 
 
 def test_continuum_run_builds_its_generator_once(tmp_path, monkeypatch):
