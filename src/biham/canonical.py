@@ -12,11 +12,13 @@ computed in modal form as ``sum_j E_j cbar_j c_j``, which is manifestly
 conserved for time-independent generators.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ModalCoordinates, StatePair, schrodinger_rhs
+from .errors import NonFinite
 from .spectral import BiorthogonalSystem, as_square_matrix, biorthogonal_decompose
 
 FD_STEP = 1e-6
@@ -102,17 +104,24 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
     # H(phibar, ps) = (phibar @ h) @ ps = d_psi @ ps: the psi probes need no product with h
     worst = 0.0
     n = psi.shape[0]
-    for k in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        for probe in (1.0, 1j):
-            # central difference along the Re (probe=1) or Im (probe=i) axis
-            num = ((phibar + step * probe * e) @ h @ psi
-                   - (phibar - step * probe * e) @ h @ psi) / (2 * step)
-            worst = max(worst, abs(num - probe * d_phibar[k]))
-            num = (d_psi @ (psi + step * probe * e)
-                   - d_psi @ (psi - step * probe * e)) / (2 * step)
-            worst = max(worst, abs(num - probe * d_psi[k]))
+    # a step at the ends of the float range overflows; its gaps are refused
+    # below, as a nan gap would vanish in max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            e = np.zeros(n, dtype=complex)
+            e[k] = 1.0
+            for probe in (1.0, 1j):
+                # central difference along the Re (probe=1) or Im (probe=i) axis
+                num_phibar = ((phibar + step * probe * e) @ h @ psi
+                              - (phibar - step * probe * e) @ h @ psi) / (2 * step)
+                num_psi = (d_psi @ (psi + step * probe * e)
+                           - d_psi @ (psi - step * probe * e)) / (2 * step)
+                for gap in (abs(num_phibar - probe * d_phibar[k]),
+                            abs(num_psi - probe * d_psi[k])):
+                    if not math.isfinite(gap):
+                        raise NonFinite(f"central differences with step {step!r} leave the "
+                                        f"float range")
+                    worst = max(worst, gap)
     return worst / scale
 
 
@@ -122,10 +131,17 @@ def canonical_report(h, state: StatePair, system: BiorthogonalSystem = None,
     h = as_square_matrix(h)
     if system is None:
         system = biorthogonal_decompose(h)
-    modal = ModalCoordinates.from_state(system, state)
-    return CanonicalReport(
-        hamiltonian_value=hamiltonian_value(h, state),
-        modal_value=modal_hamiltonian(system, modal),
-        rhs_mismatch=rhs_mismatch(h, state),
-        grad_mismatch=gradient_fd_mismatch(h, state, step=fd_step),
-    )
+    # an hbar below ~1e-308, or h and the state near the float maximum, overflow
+    # here: such a report is refused, not written with inf or nan in it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        modal = ModalCoordinates.from_state(system, state)
+        report = CanonicalReport(
+            hamiltonian_value=hamiltonian_value(h, state),
+            modal_value=modal_hamiltonian(system, modal),
+            rhs_mismatch=rhs_mismatch(h, state),
+            grad_mismatch=gradient_fd_mismatch(h, state, step=fd_step),
+        )
+    if not np.all(np.isfinite([report.hamiltonian_value, report.modal_value,
+                               report.rhs_mismatch, report.grad_mismatch])):
+        raise NonFinite("the canonical report leaves the float range")
+    return report

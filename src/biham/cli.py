@@ -15,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import canonical, continuum, dynamics, io, lorentzian, spectral
@@ -144,7 +143,8 @@ PARAMS_SCHEMAS = {
                     "center": _NUMBER,
                     "width": _POSITIVE,
                     "momentum": _NUMBER,
-                    "mode": {**_NUMBER, "type": "integer"},
+                    # a float factor of the phase, so 2.0 is a whole mode as 2 is
+                    "mode": {**_NUMBER, "multipleOf": 1},
                     **VECTOR_SCHEMA["properties"],
                 },
             },
@@ -178,14 +178,81 @@ def load_config(path) -> dict:
     return obj
 
 
+# The schemas above use only these JSON Schema keywords; a violation gets the
+# message a Draft 2020-12 validator gives.  An integer is a JSON integer, as
+# range() and numpy need: 2.0 is refused.  bool is neither a number nor an integer.
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _is_type(value, name) -> bool:
+    if name == "integer":
+        return type(value) is int
+    if name == "number":
+        return type(value) in (int, float)
+    return isinstance(value, _TYPES[name])
+
+
+def _too_short(value, least):
+    return f"{value!r} {'should be non-empty' if least == 1 else 'is too short'}"
+
+
+_KEYWORDS = {  # keyword: (value, rule) -> message, or None if the value complies
+    "type": lambda v, t: None if _is_type(v, t) else f"{v!r} is not of type {t!r}",
+    "const": lambda v, c: None if v == c else f"{c!r} was expected",
+    "enum": lambda v, e: None if v in e else f"{v!r} is not one of {e!r}",
+    "minimum": lambda v, m: f"{v!r} is less than the minimum of {m!r}"
+    if _is_type(v, "number") and v < m else None,
+    "exclusiveMinimum": lambda v, m: f"{v!r} is less than or equal to the minimum of {m!r}"
+    if _is_type(v, "number") and v <= m else None,
+    "maximum": lambda v, m: f"{v!r} is greater than the maximum of {m!r}"
+    if _is_type(v, "number") and v > m else None,
+    "multipleOf": lambda v, m: f"{v!r} is not a multiple of {m}"
+    if _is_type(v, "number") and v % m else None,
+    "minItems": lambda v, m: _too_short(v, m) if isinstance(v, list) and len(v) < m else None,
+    "maxItems": lambda v, m: f"{v!r} is too long" if isinstance(v, list) and len(v) > m
+    else None,
+    "minLength": lambda v, m: _too_short(v, m) if isinstance(v, str) and len(v) < m else None,
+}
+
+
+def _violations(value, schema: dict, path=()):
+    """``(path, message)`` for each rule of ``schema`` that ``value`` breaks, in keyword order.
+
+    Number grids are left to io: their schema is ``{"type": "array"}``, with no ``items``.
+    """
+    for key, rule in schema.items():
+        if key in ("properties", "required", "additionalProperties"):
+            if not isinstance(value, dict):
+                continue
+            if key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _violations(value[name], sub, (*path, name))
+            elif key == "required":
+                yield from ((path, f"{name!r} is a required property")
+                            for name in rule if name not in value)
+            elif not rule and (extra := sorted(set(value) - set(schema["properties"]))):
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _violations(item, rule, (*path, i))
+        elif (message := _KEYWORDS[key](value, rule)) is not None:
+            yield path, message
+
+
 def _schema_diagnostics(cfg: dict, command: str):
-    validator = jsonschema.Draft202012Validator(config_schema(command))
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(map(str, e.absolute_path)))
-    out = []
-    for err in errors:
-        where = ".".join(str(p) for p in err.absolute_path) or "(root)"
-        out.append(f"{where}: {err.message}")
-    return out
+    errors = sorted(_violations(cfg, config_schema(command)),
+                    key=lambda e: list(map(str, e[0])))
+    return [f"{'.'.join(map(str, path)) or '(root)'}: {message}" for path, message in errors]
+
+
+def _check_output(name: str) -> None:
+    """ConfigError unless ``name`` is a bare file name, which keeps the artifact in ``--out``."""
+    if name in (".", "..") or not set(name).isdisjoint("/\\\0"):
+        raise ConfigError(f"must be a bare file name, without / or \\, got {name!r}")
 
 
 def _horizon_steps(params) -> int:
@@ -228,6 +295,9 @@ def _preflight(cfg: dict):
             return fn(*args)
         except (ConfigError, ComputeError) as exc:
             problems.append(type(exc)(f"{where}: {exc}"))
+
+    if "output" in cfg:
+        check("output", _check_output, cfg["output"])
 
     if command in ("decompose", "evolve", "verify"):
         h = inputs["h"] = check("params.matrix", io.matrix_from_json, params["matrix"])

@@ -180,7 +180,10 @@ def phase_rotated(field: LatticeField, alpha: float) -> LatticeField:
 def gaussian_packet(x: np.ndarray, center: float, width: float,
                     momentum: float = 0.0, hbar: float = 1.0) -> np.ndarray:
     """L2-normalized Gaussian wavepacket with a plane-wave phase."""
-    psi = np.exp(-((x - center) ** 2) / (4.0 * width ** 2) + 1j * momentum * x / hbar)
+    # np.float64: a width above ~1e154 squares to inf, a flat envelope, where a
+    # Python float power would raise OverflowError
+    psi = np.exp(-((x - center) ** 2) / (4.0 * np.float64(width) ** 2)
+                 + 1j * momentum * x / hbar)
     dx = x[1] - x[0]
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
 
@@ -194,7 +197,7 @@ def plane_wave(config: ContinuumConfig, mode: int) -> np.ndarray:
 def complex_gaussian_potential(x: np.ndarray, center: float, width: float,
                                amplitude: complex) -> np.ndarray:
     """Gaussian potential envelope with a complex amplitude."""
-    return amplitude * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+    return amplitude * np.exp(-((x - center) ** 2) / (2.0 * np.float64(width) ** 2))
 
 
 def initial_lattice_state(config: ContinuumConfig, V, psi0, h=None) -> LatticeField:

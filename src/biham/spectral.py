@@ -158,7 +158,9 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     right = _fix_gauge(right[:, order])
 
     svals = np.linalg.svd(right, compute_uv=False)
-    if svals[-1] < tol * svals[0]:
+    with np.errstate(over="ignore"):  # a tol near the float maximum gives inf: rank deficient
+        deficient = svals[-1] < tol * svals[0]
+    if deficient:
         raise NotDiagonalizable(
             f"right eigenvector matrix is rank deficient "
             f"(singular value ratio {svals[-1] / svals[0]:.3e} < tol {tol:.1e})"

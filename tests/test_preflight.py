@@ -264,11 +264,26 @@ CONTRACT_CASES.update({
                               "config_error"),
 })
 
+# integral floats in integer fields: JSON integers only, as range and numpy need
+CONTINUUM = load_config(FIXTURES / "continuum_gaussian.json")
+CONTRACT_CASES.update({
+    "evolve_integral_snapshot_every": (json.dumps(evolve_config(snapshot_every=2.0)), 2,
+                                       "config_error"),
+    "continuum_integral_snapshot_every": (json.dumps(
+        {**CONTINUUM, "params": {**CONTINUUM["params"], "snapshot_every": 2.0}}), 2,
+        "config_error"),
+    "continuum_integral_N": (json.dumps({**CONTINUUM, "params": {**CONTINUUM["params"],
+                                                                 "N": 64.0}}),
+                             2, "config_error"),
+    "sweep_integral_samples": (json.dumps(sweep_with_samples(11.0)), 2, "config_error"),
+    "integral_seed": (json.dumps({**evolve_config(), "seed": 3.0}), 2, "config_error"),
+})
+
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_on_failing_configs(tmp_path, case):
     text, exit_code, error = CONTRACT_CASES[case]
-    command = "sweep" if "sweep" in case else "evolve"
+    command = json.loads(text)["command"]
     config = tmp_path / "cfg.json"
     config.write_text(text)
     out = tmp_path / "out"
@@ -463,3 +478,52 @@ def test_continuum_snapshots_not_dividing_the_steps(tmp_path, capfd):
     resid = rows[:, header.split(",").index("continuity_residual")]
     assert len(rows) == 35 and rows[-2, 0] == pytest.approx(0.0495)
     assert np.isnan(resid[[0, -2, -1]]).all() and np.isfinite(resid[1:-2]).all()
+
+
+@pytest.mark.parametrize("output", ["../escape.csv", "absolute", "sub/x.csv", ".", "..",
+                                    "a\\b.csv", "a\0b.csv"])
+def test_output_must_be_a_bare_file_name(tmp_path, capfd, output):
+    if output == "absolute":
+        output = str(tmp_path / "abs.csv")
+    cfg = {**evolve_config(), "output": output}
+    assert_refused(tmp_path, cfg, capfd, 2, 2, "config_error", "output: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_bare_output_name_is_written_in_out(tmp_path, capfd):
+    validate, diags, run, err = both_routes(tmp_path, {**evolve_config(), "output": "..x.csv"},
+                                            capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["..x.csv"]
+
+
+# extreme scalars that overflowed with a traceback, a warning or nan in the artifact
+
+@pytest.mark.parametrize("params", [
+    {"psi0": {"kind": "gaussian", "center": 4.0, "width": 1e300}},
+    {"potential": {"kind": "complex_gaussian", "center": 8.0, "width": 1e300, "amp_re": 0.8}},
+])
+def test_continuum_gaussian_wider_than_the_float_range_squares(tmp_path, capfd, params):
+    # width^2 is inf: a flat envelope, not an OverflowError traceback
+    validate, diags, run, err = both_routes(tmp_path, continuum_config(**params), capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+
+
+def verify_config(**params):
+    cfg = load_config(FIXTURES / "verify_random.json")
+    cfg["params"].update(params)
+    return cfg
+
+
+@pytest.mark.parametrize("params", [
+    {"hbar": 5e-324},                      # 1/hbar overflows: rhs_mismatch was NaN
+    {"fd_step": 5e-324},                   # the quotients overflow: grad_mismatch was 0.0
+])
+def test_verify_report_beyond_float_range(tmp_path, capfd, params):
+    assert_refused(tmp_path, verify_config(**params), capfd, 0, 3, "non_finite", "")
+
+
+def test_decompose_tol_at_the_float_maximum(tmp_path, capfd):
+    cfg = load_config(FIXTURES / "decompose_upper.json")
+    cfg["params"]["tol"] = sys.float_info.max
+    assert_refused(tmp_path, cfg, capfd, 0, 3, "not_diagonalizable", "")
