@@ -105,7 +105,8 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
     worst = 0.0
     n = psi.shape[0]
     # a step at the ends of the float range overflows; its gaps are refused
-    # below, as a nan gap would vanish in max()
+    # below, as a nan gap would vanish in max().  Halving first keeps a step
+    # at the float maximum in range, where 2 * step is inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             e = np.zeros(n, dtype=complex)
@@ -113,9 +114,9 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
             for probe in (1.0, 1j):
                 # central difference along the Re (probe=1) or Im (probe=i) axis
                 num_phibar = ((phibar + step * probe * e) @ h @ psi
-                              - (phibar - step * probe * e) @ h @ psi) / (2 * step)
+                              - (phibar - step * probe * e) @ h @ psi) / 2 / step
                 num_psi = (d_psi @ (psi + step * probe * e)
-                           - d_psi @ (psi - step * probe * e)) / (2 * step)
+                           - d_psi @ (psi - step * probe * e)) / 2 / step
                 for gap in (abs(num_phibar - probe * d_phibar[k]),
                             abs(num_psi - probe * d_psi[k])):
                     if not math.isfinite(gap):

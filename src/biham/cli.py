@@ -11,6 +11,7 @@ seed.  Exit codes: 0 ok, 2 config error, 3 compute error, 4 io error.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical, continuum, dynamics, io, lorentzian, spectral
-from .errors import ComputeError, ConfigError, IoError
+from .errors import ComputeError, ConfigError, IoError, NonFinite
 
 log = logging.getLogger("biham")
 
@@ -253,6 +254,13 @@ def _check_output(name: str) -> None:
     """ConfigError unless ``name`` is a bare file name, which keeps the artifact in ``--out``."""
     if name in (".", "..") or not set(name).isdisjoint("/\\\0"):
         raise ConfigError(f"must be a bare file name, without / or \\, got {name!r}")
+    try:
+        size = len(os.fsencode(name))
+    except UnicodeError:  # a lone surrogate, say
+        raise ConfigError(f"the file system cannot encode the file name {name!r}") from None
+    if size > io.MAX_NAME_BYTES:
+        raise ConfigError(f"a file name of {size} bytes is above the limit of "
+                          f"{io.MAX_NAME_BYTES}")
 
 
 def _horizon_steps(params) -> int:
@@ -316,15 +324,15 @@ def _preflight(cfg: dict):
         inputs["steps"] = check("params.t_final", _horizon_steps, params)
         if params["method"] == "rk4":
             check("params.dt", dynamics.check_step, h, params["dt"], hbar)
-        elif not problems:
-            # every mode grows or decays monotonically, so the last record is
-            # the largest: evaluating it is an exact overflow check
+        if not problems:
             system = inputs["system"] = check("params.matrix",
                                               spectral.biorthogonal_decompose, h)
             if system is not None:  # evolve requires psi0, so no random state is drawn
                 state0 = inputs["state0"] = check("params.psi0", _initial_state,
                                                   system, inputs, params, None)
-                if state0 is not None:
+                if state0 is not None and params["method"] == "exact":
+                    # every mode grows or decays monotonically, so the last record
+                    # is the largest: evaluating it is an exact overflow check
                     check("params.t_final", dynamics.evolve_exact, system, state0,
                           inputs["steps"] * params["dt"])
 
@@ -381,15 +389,26 @@ def _state_columns(n):
     return cols
 
 
+def _finite_row(row, placeholder=None):
+    """``row`` of a CSV artifact; NonFinite if a cell but the one at ``placeholder`` is not finite.
+
+    A derived column can overflow while the state it is computed from is finite.
+    """
+    if not all(math.isfinite(v) for i, v in enumerate(row) if i != placeholder):
+        raise NonFinite(f"a derived column leaves the float range at t={row[0]:.6g}")
+    return row
+
+
 def _state_row(state):
     row = [state.t]
     for k in range(state.n):
         row += [state.psi[k].real, state.psi[k].imag]
     for k in range(state.n):
         row += [state.phibar[k].real, state.phibar[k].imag]
-    q = dynamics.overlap(state)
-    row += [q.real, q.imag, dynamics.right_norm(state)]
-    return row
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_row
+        q = dynamics.overlap(state)
+        row += [q.real, q.imag, dynamics.right_norm(state)]
+    return _finite_row(row)
 
 
 def _initial_state(system, inputs, params, rng):
@@ -420,18 +439,17 @@ def _run_decompose(inputs, params, rng):
 
 
 def _run_evolve(inputs, params, rng):
-    h, steps = inputs["h"], inputs["steps"]
+    # the preflight decomposed h and built state0; for exact it checked the last record
+    h, state0, steps = inputs["h"], inputs["state0"], inputs["steps"]
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
     if params["method"] == "rk4":
-        state0 = _initial_state(spectral.biorthogonal_decompose(h), inputs, params, rng)
         snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
-    else:  # the preflight decomposed h, built state0 and checked the last record
-        system, state0 = inputs["system"], inputs["state0"]
+    else:
         marks = list(range(0, steps + 1, every))
         if marks[-1] != steps:
             marks.append(steps)
-        snaps = [dynamics.evolve_exact(system, state0, k * dt) for k in marks]
+        snaps = [dynamics.evolve_exact(inputs["system"], state0, k * dt) for k in marks]
     return ("csv", (_state_columns(h.shape[0]), [_state_row(s) for s in snaps]))
 
 
@@ -457,16 +475,17 @@ def _run_sweep(inputs, params, rng):
     path = inputs["path"]
     state0 = lorentzian.initial_sweep_state(path, params["csq"],
                                             hbar=params.get("hbar", 1.0))
-    record = lorentzian.sweep_adiabatic(path, state0, dt=params["dt"])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_row
+        record = lorentzian.sweep_adiabatic(path, state0, dt=params["dt"])
     header = ["t", "I_1", "I_2", "deviation_1", "deviation_2", "overlap_re", "overlap_im"]
     rows = []
     for k in range(len(record.times)):
-        rows.append([
+        rows.append(_finite_row([
             record.times[k],
             record.actions[k, 0].real, record.actions[k, 1].real,
             record.deviations[k, 0], record.deviations[k, 1],
             record.overlaps[k].real, record.overlaps[k].imag,
-        ])
+        ]))
     return ("csv", (header, rows))
 
 
@@ -519,13 +538,15 @@ def _run_continuum(inputs, params, rng):
     last = len(snaps) - 2 if uneven else len(snaps) - 1
     rows = []
     for k, snap in enumerate(snaps):
-        q = continuum.lattice_charge(snap, config.dx)
-        if 0 < k < last:
-            resid = continuum.continuity_residual(snaps[k - 1:k + 2], config)
-        else:
-            resid = float("nan")
-        norm = float(np.real(np.vdot(snap.psi, snap.psi))) * config.dx
-        rows.append([snap.t, q.real, q.imag, resid, norm])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_row
+            q = continuum.lattice_charge(snap, config.dx)
+            if 0 < k < last:
+                resid = continuum.continuity_residual(snaps[k - 1:k + 2], config)
+            else:
+                resid = float("nan")
+            norm = float(np.real(np.vdot(snap.psi, snap.psi))) * config.dx
+        rows.append(_finite_row([snap.t, q.real, q.imag, resid, norm],
+                                placeholder=None if 0 < k < last else 3))
     return ("csv", (header, rows))
 
 
@@ -578,15 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biham",
         description="Scenario runner for biorthogonal non-Hermitian dynamics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=f"run a {name} scenario")
-        cmd.add_argument("--config", required=True, help="JSON scenario config")
-        cmd.add_argument("--out", default=".", help="output directory (default: .)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
-        cmd.add_argument("--validate-only", action="store_true",
-                         help="report diagnostics without executing")
+    parser.add_argument("command", choices=COMMANDS, help="scenario to run")
+    parser.add_argument("--config", required=True, help="JSON scenario config")
+    parser.add_argument("--out", default=".", help="output directory (default: .)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--validate-only", action="store_true",
+                        help="report diagnostics without executing")
     return parser
 
 

@@ -62,6 +62,11 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
+# atomic_write_text's temp file is .<name>.<8 random characters>.tmp, beside the
+# target; a file name holds at most 255 bytes, so this bounds the target's name
+MAX_NAME_BYTES = 255 - len("..12345678.tmp")
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write text via a temp file in the target directory, then rename."""
     path = Path(path)

@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biham.cli import load_config, main, run_config, validate_config
+from biham.cli import COMMANDS, build_parser, load_config, main, run_config, validate_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -20,6 +21,23 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return header, np.array(rows)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_gives_one_namespace_for_every_command(command):
+    args = build_parser().parse_args([command, "--config", "c", "--out", "o", "--seed", "3",
+                                      "--validate-only"])
+    assert args == argparse.Namespace(command=command, config="c", out="o", seed=3,
+                                      validate_only=True)
+    assert build_parser().parse_args([command, "--config", "c"]) == argparse.Namespace(
+        command=command, config="c", out=".", seed=None, validate_only=False)
+
+
+@pytest.mark.parametrize("argv", [["frobnicate", "--config", "c"], ["evolve"]])
+def test_parser_refuses_a_bad_argv(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 class TestValidate:

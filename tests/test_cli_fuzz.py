@@ -23,9 +23,11 @@ FLOAT_MAX = 1.7976931348623157e308
 # values set on one scalar field: extremes, integral floats, booleans, huge integers
 EDGES = [0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e300, FLOAT_MAX, -FLOAT_MAX, 2.0, 64.0, 3.0,
          True, False, HUGE, -HUGE, 10 ** 300, 2 ** 64, 7]
-# a path-like output is refused: "ABSOLUTE" stands for a path beside the out directory
-OUTPUTS = [None] * 8 + ["result.out", "..x.csv", "../escape.csv", "ABSOLUTE", "sub/x.csv",
-                        ".", "..", "a\\b.csv", "a\0b.csv", ""]
+# a path-like output is refused: "ABSOLUTE" stands for a path beside the out directory;
+# so are names the file system cannot encode or whose temp name is above 255 bytes
+OUTPUTS = [None] * 6 + ["result.out", "..x.csv", "../escape.csv", "ABSOLUTE", "sub/x.csv",
+                        ".", "..", "a\\b.csv", "a\0b.csv", "", "\ud800x.json", "a" * 241,
+                        "a" * 242, "\u00e9" * 121]
 
 SMALL = st.floats(-2.0, 2.0)
 
@@ -44,8 +46,8 @@ def matrices(draw):
     return {"n": n, "re": re, "im": im}
 
 
-def vector(draw, n):
-    return {"re": numbers(draw, n), "im": numbers(draw, n)}
+def vector(draw, n, scale=1.0):
+    return {"re": numbers(draw, n, scale), "im": numbers(draw, n, scale)}
 
 
 def optional(draw, params, key, values):
@@ -61,13 +63,14 @@ def params_for(draw, command):
         z = [sign * draw(st.floats(1.5, 4.0)), sign * draw(st.sampled_from([1.0] * 5 + [-1.0]))
              * draw(st.floats(1.5, 4.0))]
         x, y = ([draw(st.floats(-1.0, 1.0)) for _ in range(2)] for _ in range(2))
+        csq_scale = draw(st.sampled_from([1.0] * 6 + [FLOAT_MAX / 2]))  # csq_1 + csq_2 overflows
         path = {"x0": x[0], "y0": y[0], "z0": z[0], "x1": x[1], "y1": y[1], "z1": z[1]}
         params = {"path": {**path, "interpolation": "linear"},
                   "T": draw(st.sampled_from([1.0, 5.0])),
                   "dt": draw(st.sampled_from([0.01, 0.05, 0.5])),
-                  "csq": [draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))]}
+                  "csq": [draw(st.floats(0.0, 2.0)) * csq_scale for _ in range(2)]}
         optional(draw, params, "samples", [2, 5, 11])
-        optional(draw, params, "hbar", [0.5, 1.0])
+        optional(draw, params, "hbar", [0.5, 1.0, 1e308, FLOAT_MAX])
         return params
     if command == "continuum":
         N = draw(st.sampled_from([8, 12, 16]))
@@ -91,10 +94,12 @@ def params_for(draw, command):
     if command == "decompose":
         optional(draw, params, "tol", [1e-9, 1e-3])
         return params
-    params["psi0"] = vector(draw, h["n"])
+    # half of them near 1e200, where the overlap and the right norm overflow
+    scale = draw(st.sampled_from([1.0, 1e200]))
+    params["psi0"] = vector(draw, h["n"], scale)
     extra = draw(st.sampled_from(["none", "phibar0", "csq"]))
     if extra == "phibar0":
-        params["phibar0"] = vector(draw, h["n"])
+        params["phibar0"] = vector(draw, h["n"], scale)
     elif extra == "csq" and command == "evolve":
         params["csq"] = [draw(st.floats(0.0, 2.0)) for _ in range(h["n"])]
     optional(draw, params, "hbar", [0.5, 1.0])

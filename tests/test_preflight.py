@@ -279,6 +279,15 @@ CONTRACT_CASES.update({
     "integral_seed": (json.dumps({**evolve_config(), "seed": 3.0}), 2, "config_error"),
 })
 
+# output names that os.fsencode cannot encode, and names whose temp name
+# .<name>.<8 characters>.tmp is above the 255-byte file name limit
+CONTRACT_CASES.update({
+    "surrogate_output": (json.dumps({**evolve_config(), "output": "\ud800x.json"}), 2,
+                         "config_error"),
+    "output_over_the_name_limit": (json.dumps({**evolve_config(), "output": "a" * 242}), 2,
+                                   "config_error"),
+})
+
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_on_failing_configs(tmp_path, case):
@@ -441,16 +450,16 @@ def test_continuum_generator_beyond_float_range(tmp_path, capfd):
 HUGE_PSI0 = {"re": [1e300, 1e300], "im": [0.0, 0.0]}
 
 
-@pytest.mark.parametrize("method, validate_code", [("rk4", 0), ("exact", 2)])
+@pytest.mark.parametrize("method, validate_code", [("rk4", 2), ("exact", 2)])
 def test_evolve_conjugate_field_overflow_is_non_finite(tmp_path, capfd, method,
                                                        validate_code):
-    # |c_j|^2 passes the float range; rk4 configs are not decomposed before the run
+    # |c_j|^2 passes the float range
     cfg = evolve_config(psi0=HUGE_PSI0, method=method)
     assert_refused(tmp_path, cfg, capfd, validate_code, 3, "non_finite", "params.psi0: ")
 
 
-def test_exact_overflow_found_by_validation(tmp_path, capfd, monkeypatch):
-    # the preflight evaluates the last record; the run reuses its system and state
+def counted_decompositions(monkeypatch):
+    """The ``h`` of every ``biorthogonal_decompose`` call from here on."""
     calls = []
     decompose = biham.spectral.biorthogonal_decompose
 
@@ -459,13 +468,50 @@ def test_exact_overflow_found_by_validation(tmp_path, capfd, monkeypatch):
         return decompose(h)
 
     monkeypatch.setattr(biham.spectral, "biorthogonal_decompose", counted)
+    return calls
+
+
+def test_exact_overflow_found_by_validation(tmp_path, capfd, monkeypatch):
+    # the preflight evaluates the last record; the run reuses its system and state
+    calls = counted_decompositions(monkeypatch)
     assert_refused(tmp_path, OVERFLOW, capfd, 2, 3, "non_finite", "params.t_final: ")
     assert len(calls) == 2  # once per route
     calls.clear()
-    cfg = {**OVERFLOW, "params": {**OVERFLOW["params"], "t_final": 100.0}}
+    # by t = 70 the right norm is e^700; from t = 71 it leaves the float range
+    cfg = {**OVERFLOW, "params": {**OVERFLOW["params"], "t_final": 70.0}}
     validate, diags, run, err = both_routes(tmp_path, cfg, capfd)
     assert (validate, diags, run, err) == (0, [], 0, [])
     assert len(calls) == 2
+
+
+def test_rk4_overflow_found_by_the_run(tmp_path, capfd):
+    # no eigenbasis check is exact for RK4's own trajectory: rounding seeds
+    # growing modes that psi0 leaves empty, so only the run decides
+    cfg = {**OVERFLOW, "params": {**OVERFLOW["params"], "method": "rk4"}}
+    assert_refused(tmp_path, cfg, capfd, 0, 3, "non_finite", "")
+
+
+def test_rk4_decomposes_once_per_route(tmp_path, capfd, monkeypatch):
+    # the run takes its system and state from the preflight, phibar0 given or not
+    calls = counted_decompositions(monkeypatch)
+    for cfg in (evolve_config(), evolve_config(phibar0={"re": [1.0, 0.0], "im": [0.0, 0.0]})):
+        validate, diags, run, err = both_routes(tmp_path, cfg, capfd)
+        assert (validate, diags, run, err) == (0, [], 0, [])
+        assert len(calls) == 2
+        calls.clear()
+
+
+DEFECTIVE = {"n": 2, "re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("params, error, where", [
+    ({"matrix": DEFECTIVE}, "not_diagonalizable", "params.matrix: "),
+    ({"csq": [1.0, 1.0]}, "zero_modal_coefficient", "params.psi0: "),  # psi0 is one mode
+])
+def test_decomposition_faults_found_by_validation(tmp_path, capfd, method, params, error,
+                                                  where):
+    assert_refused(tmp_path, evolve_config(method=method, **params), capfd, 2, 3, error, where)
 
 
 def test_continuum_snapshots_not_dividing_the_steps(tmp_path, capfd):
@@ -488,6 +534,18 @@ def test_output_must_be_a_bare_file_name(tmp_path, capfd, output):
     cfg = {**evolve_config(), "output": output}
     assert_refused(tmp_path, cfg, capfd, 2, 2, "config_error", "output: ")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_output_name_at_the_byte_limit_is_written(tmp_path, capfd):
+    name = "\u00e9" * 120 + "x"  # 121 characters, 241 bytes
+    assert len(os.fsencode(name)) == biham.io.MAX_NAME_BYTES
+    validate, diags, run, err = both_routes(tmp_path, {**evolve_config(), "output": name},
+                                            capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+    (tmp_path / "over").mkdir()
+    assert_refused(tmp_path / "over", {**evolve_config(), "output": "\u00e9" + name}, capfd,
+                   2, 2, "config_error", "output: ")
 
 
 def test_bare_output_name_is_written_in_out(tmp_path, capfd):
@@ -523,7 +581,36 @@ def test_verify_report_beyond_float_range(tmp_path, capfd, params):
     assert_refused(tmp_path, verify_config(**params), capfd, 0, 3, "non_finite", "")
 
 
+def test_verify_fd_step_at_the_float_maximum(tmp_path, capfd):
+    # H is bilinear, so central differences are exact at any step in range
+    validate, diags, run, err = both_routes(tmp_path, verify_config(fd_step=sys.float_info.max),
+                                            capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+    report = json.loads((tmp_path / "out" / "canonical.json").read_text())
+    assert report["grad_mismatch"] <= 1e-12
+
+
 def test_decompose_tol_at_the_float_maximum(tmp_path, capfd):
     cfg = load_config(FIXTURES / "decompose_upper.json")
     cfg["params"]["tol"] = sys.float_info.max
     assert_refused(tmp_path, cfg, capfd, 0, 3, "not_diagonalizable", "")
+
+
+# derived columns that overflow while the state is finite: no inf or nan cell is written
+
+HUGE_PAIR = {"psi0": {"re": [1e200, 1e200], "im": [0.0, 0.0]},
+             "phibar0": {"re": [1e200, 1e200], "im": [0.0, 0.0]}}
+HUGE_CSQ = sweep_config((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=1.0)
+HUGE_CSQ["params"]["csq"] = [1.7e308, 1.7e308]
+GAIN = {"kind": "complex_gaussian", "center": 8.0, "width": 100.0, "amp_im": 50.0}
+
+
+@pytest.mark.parametrize("cfg", [
+    evolve_config(**HUGE_PAIR),                  # overlap and right_norm at t = 0
+    evolve_config(method="exact", **HUGE_PAIR),
+    HUGE_CSQ,                                    # the overlap csq_1 + csq_2
+    {**OVERFLOW, "params": {**OVERFLOW["params"], "t_final": 100.0}},  # right_norm from t = 71
+    continuum_config(potential=GAIN, t_final=8.0, dt=0.005, snapshot_every=100),  # right_norm
+], ids=["evolve_rk4", "evolve_exact", "sweep", "evolve_exact_growth", "continuum"])
+def test_derived_column_overflow_is_non_finite(tmp_path, capfd, cfg):
+    assert_refused(tmp_path, cfg, capfd, 0, 3, "non_finite", "")
