@@ -11,7 +11,6 @@ seed.  Exit codes: 0 ok, 2 config error, 3 compute error, 4 io error.
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -381,34 +380,18 @@ def validate_config(cfg: dict) -> list:
 # command execution
 
 
-def _state_columns(n):
-    cols = ["t"]
-    cols += [f"psi{k}_{part}" for k in range(n) for part in ("re", "im")]
-    cols += [f"phibar{k}_{part}" for k in range(n) for part in ("re", "im")]
-    cols += ["overlap_re", "overlap_im", "right_norm"]
-    return cols
-
-
-def _finite_row(row, placeholder=None):
-    """``row`` of a CSV artifact; NonFinite if a cell but the one at ``placeholder`` is not finite.
+def _finite_table(table, placeholder=None):
+    """``table``, a CSV artifact; NonFinite if a cell not marked in ``placeholder`` is not finite.
 
     A derived column can overflow while the state it is computed from is finite.
     """
-    if not all(math.isfinite(v) for i, v in enumerate(row) if i != placeholder):
-        raise NonFinite(f"a derived column leaves the float range at t={row[0]:.6g}")
-    return row
-
-
-def _state_row(state):
-    row = [state.t]
-    for k in range(state.n):
-        row += [state.psi[k].real, state.psi[k].imag]
-    for k in range(state.n):
-        row += [state.phibar[k].real, state.phibar[k].imag]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_row
-        q = dynamics.overlap(state)
-        row += [q.real, q.imag, dynamics.right_norm(state)]
-    return _finite_row(row)
+    bad = ~np.isfinite(table)
+    if placeholder is not None:
+        bad &= ~placeholder
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        raise NonFinite(f"a derived column leaves the float range at t={table[rows[0], 0]:.6g}")
+    return table
 
 
 def _initial_state(system, inputs, params, rng):
@@ -435,7 +418,7 @@ def _run_decompose(inputs, params, rng):
         "condition_number": system.cond,
         "spectrum_is_real": spectral.spectrum_is_real(system),
     }
-    return ("json", report)
+    return report
 
 
 def _run_evolve(inputs, params, rng):
@@ -450,7 +433,19 @@ def _run_evolve(inputs, params, rng):
         if marks[-1] != steps:
             marks.append(steps)
         snaps = [dynamics.evolve_exact(inputs["system"], state0, k * dt) for k in marks]
-    return ("csv", (_state_columns(h.shape[0]), [_state_row(s) for s in snaps]))
+    n = h.shape[0]
+    header = ["t", *(f"{field}{k}_{part}" for field in ("psi", "phibar")
+                     for k in range(n) for part in ("re", "im")),
+              "overlap_re", "overlap_im", "right_norm"]
+    psi = np.array([s.psi for s in snaps])
+    phibar = np.array([s.phibar for s in snaps])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
+        overlap = np.sum(phibar * psi, axis=1)
+        norm = [np.vdot(p, p).real for p in psi]
+    # a complex row viewed as floats is re, im per component: the header's order
+    return header, _finite_table(np.column_stack(
+        [[s.t for s in snaps], psi.view(float), phibar.view(float),
+         overlap.real, overlap.imag, norm]))
 
 
 def _run_verify(inputs, params, rng):
@@ -468,25 +463,19 @@ def _run_verify(inputs, params, rng):
         "rhs_mismatch": report.rhs_mismatch,
         "grad_mismatch": report.grad_mismatch,
     }
-    return ("json", payload)
+    return payload
 
 
 def _run_sweep(inputs, params, rng):
     path = inputs["path"]
     state0 = lorentzian.initial_sweep_state(path, params["csq"],
                                             hbar=params.get("hbar", 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_row
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         record = lorentzian.sweep_adiabatic(path, state0, dt=params["dt"])
     header = ["t", "I_1", "I_2", "deviation_1", "deviation_2", "overlap_re", "overlap_im"]
-    rows = []
-    for k in range(len(record.times)):
-        rows.append(_finite_row([
-            record.times[k],
-            record.actions[k, 0].real, record.actions[k, 1].real,
-            record.deviations[k, 0], record.deviations[k, 1],
-            record.overlaps[k].real, record.overlaps[k].imag,
-        ]))
-    return ("csv", (header, rows))
+    return header, _finite_table(np.column_stack(
+        [record.times, record.actions.real, record.deviations,
+         record.overlaps.real, record.overlaps.imag]))
 
 
 def _continuum_setup(params, tables):
@@ -536,18 +525,17 @@ def _run_continuum(inputs, params, rng):
     # row before a shorter last interval when snapshot_every does not divide steps
     uneven = inputs["steps"] % params.get("snapshot_every", 1) != 0
     last = len(snaps) - 2 if uneven else len(snaps) - 1
-    rows = []
-    for k, snap in enumerate(snaps):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_row
-            q = continuum.lattice_charge(snap, config.dx)
-            if 0 < k < last:
-                resid = continuum.continuity_residual(snaps[k - 1:k + 2], config)
-            else:
-                resid = float("nan")
-            norm = float(np.real(np.vdot(snap.psi, snap.psi))) * config.dx
-        rows.append(_finite_row([snap.t, q.real, q.imag, resid, norm],
-                                placeholder=None if 0 < k < last else 3))
-    return ("csv", (header, rows))
+    resid = np.full(len(snaps), np.nan)  # NaN placeholders outside 0 < k < last
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
+        q = np.sum(np.array([s.phibar for s in snaps]) * np.array([s.psi for s in snaps]),
+                   axis=1) * config.dx
+        for k in range(1, last):
+            resid[k] = continuum.continuity_residual(snaps[k - 1:k + 2], config)
+        norm = [np.vdot(s.psi, s.psi).real * config.dx for s in snaps]
+    table = np.column_stack([[s.t for s in snaps], q.real, q.imag, resid, norm])
+    placeholder = np.zeros(table.shape, dtype=bool)
+    placeholder[[0, *range(last, len(snaps))], 3] = True
+    return header, _finite_table(table, placeholder)
 
 
 _RUNNERS = {
@@ -574,13 +562,12 @@ def run_config(cfg: dict, out_dir) -> Path:
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     log.info("running %s (seed %d)", command, seed)
-    kind, payload = _RUNNERS[command](inputs, cfg["params"], rng)
+    artifact = _RUNNERS[command](inputs, cfg["params"], rng)  # a report, or (header, table)
     out_path = Path(out_dir) / cfg.get("output", DEFAULT_OUTPUT[command])
-    if kind == "json":
-        io.write_json(out_path, payload)
+    if isinstance(artifact, dict):
+        io.write_json(out_path, artifact)
     else:
-        header, rows = payload
-        io.write_csv(out_path, header, rows)
+        io.write_csv(out_path, *artifact)
     log.info("wrote %s", out_path)
     return out_path
 

@@ -53,15 +53,6 @@ def vector_from_json(obj, n: int) -> np.ndarray:
     return _complex_from_json(obj, (n,))
 
 
-def fmt(value) -> str:
-    """Deterministic text form of one scalar."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 # atomic_write_text's temp file is .<name>.<8 random characters>.tmp, beside the
 # target; a file name holds at most 255 bytes, so this bounds the target's name
 MAX_NAME_BYTES = 255 - len("..12345678.tmp")
@@ -84,11 +75,9 @@ def atomic_write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path, header, rows) -> None:
-    """Emit a CSV artifact atomically; every cell goes through :func:`fmt`."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(path, header, table) -> None:
+    """Emit a CSV artifact atomically: ``header``, then each row of the float ``table``."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

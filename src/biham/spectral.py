@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDiagonalizable
+from .errors import NonFinite, NotDiagonalizable
 
 DEFAULT_TOL = 1e-8
 
@@ -127,11 +127,10 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
 
     ``||h||_2`` (an SVD of ``h``) is computed only if a pair of eigenvalues
     within ``2 tol ||h||_F`` has parallel eigenvectors, or if the adjoint
-    residual ``R`` has ``||R||_F > max(tol, 1e-8) ||h||_F / (2 sqrt(n))``, or
-    if ``||h||_F`` is outside ``(1e-100, inf)``, where the squares of the
-    entries may under- or overflow.  ``||R||_2`` (an SVD of ``R``) is computed
-    only in the residual case.  Every other verdict follows from
-    ``||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F``.
+    residual ``R`` has ``||R||_F > max(tol, 1e-8) ||h||_F / (2 sqrt(n))``.
+    ``||R||_2`` (an SVD of ``R``) is computed only in the residual case.
+    Every other verdict follows from ``||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F``.
+    The tests run on ``h`` scaled by a power of two, so no norm overflows.
 
     Parameters
     ----------
@@ -148,11 +147,15 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         eigenvalue cluster tighter than ``tol * ||h||`` comes with (nearly)
         parallel eigenvectors.  Both signal an exceptional point or a
         numerical degeneracy.
+    NonFinite
+        If an eigenvalue is beyond the float range.
     """
     h = as_square_matrix(h)
     if tol <= 0:
         raise ValueError("tol must be positive")
     evals, right = np.linalg.eig(h)
+    if not np.all(np.isfinite(evals)):
+        raise NonFinite("an eigenvalue of the matrix leaves the float range")
     order = np.lexsort((evals.imag, evals.real))
     evals = evals[order]
     right = _fix_gauge(right[:, order])
@@ -165,17 +168,17 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
             f"right eigenvector matrix is rank deficient "
             f"(singular value ratio {svals[-1] / svals[0]:.3e} < tol {tol:.1e})"
         )
-    scale = functools.cache(lambda: max(np.linalg.norm(h, 2), 1e-300))
-    with np.errstate(over="ignore"):  # an overflowing norm is inf and handled below
-        frobenius = np.linalg.norm(h)
-    if 1e-100 < frobenius < np.inf:
-        # ||h||_F / sqrt(n) <= ||h||_2 <= ||h||_F; the factors 2 and 1/2 absorb rounding
-        high, low = 2 * frobenius, 0.5 * frobenius / np.sqrt(len(evals))
-    else:
-        # squares of the entries under- or overflowed, so ||h||_F bounds nothing,
-        # and neither does ||R||_F: the adjoint test is always exact
-        high, low = 2 * scale(), None
-    pair = _first_parallel_pair(evals, right, tol * high, lambda: tol * scale())
+    # the tests run on g = h * unit, a power of two, so g is exact; its largest part is
+    # in [0.5, 1), or at least 2^-51 for a subnormal h as unit stops at 2^1023, so no norm,
+    # eigenvalue gap or residual of g over- or underflows
+    largest = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)))
+    unit = np.ldexp(1.0, min(-np.frexp(largest)[1], 1023))
+    g_evals = evals * unit
+    scale = functools.cache(lambda: np.linalg.norm(h * unit, 2))
+    # ||g||_F / sqrt(n) <= ||g||_2 <= ||g||_F; the factors 2 and 1/2 absorb rounding
+    frobenius = np.linalg.norm(h * unit)
+    high, low = 2 * frobenius, 0.5 * frobenius / np.sqrt(len(evals))
+    pair = _first_parallel_pair(g_evals, right, tol * high, lambda: tol * scale())
     if pair is not None:
         i, j = pair
         raise NotDiagonalizable(
@@ -186,11 +189,9 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     left = np.linalg.inv(right).conj().T
 
     # independent cross-check: b_j must be right eigenvectors of h^H
-    residual = h.conj().T @ left - left * evals.conj()[None, :]
+    residual = (h.conj() * unit).T @ left - left * g_evals.conj()[None, :]
     limit = max(tol, 1e-8)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf and takes the exact test
-        exact = low is None or np.linalg.norm(residual) > limit * low
-    if exact:
+    if np.linalg.norm(residual) > limit * low:
         adjoint_residual = np.linalg.norm(residual, 2) / scale()
         if adjoint_residual > limit:
             raise NotDiagonalizable(

@@ -4,7 +4,9 @@ Every config ends in one of two ways on each route: an artifact with exit 0,
 or one JSON error line on stderr with exit 2, 3 or 4, with no traceback and no
 warning.  ``--validate-only`` and the run share one preflight, so a ``[]``
 from validation is never followed by a config error from the run, and a
-rerun writes the same bytes.  Nothing is written outside ``--out``.
+rerun writes the same bytes.  Nothing is written outside ``--out``.  An
+artifact holds no inf or nan: JSON without its non-standard constants, CSV
+cells finite but for the continuum's placeholder residuals.
 """
 
 import json
@@ -12,10 +14,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from biham.cli import main
+from biham.dynamics import step_count
 
 HUGE = 10 ** 400  # an integer literal beyond float range
 FLOAT_MAX = 1.7976931348623157e308
@@ -38,9 +42,12 @@ def numbers(draw, count, scale=1.0):
 
 @st.composite
 def matrices(draw):
-    """Small real or complex matrices, now and then scaled to an extreme."""
+    """Small real or complex matrices, now and then scaled to an extreme.
+
+    At ``FLOAT_MAX / 2`` an eigenvalue can pass the float range.
+    """
     n = draw(st.integers(1, 3))
-    scale = draw(st.sampled_from([1.0] * 6 + [1e-300, 1e150, 1e300]))
+    scale = draw(st.sampled_from([1.0] * 6 + [1e-300, 1e150, 1e300, FLOAT_MAX / 2]))
     re = [numbers(draw, n, scale) for _ in range(n)]
     im = [numbers(draw, n, scale) if draw(st.booleans()) else [0.0] * n for _ in range(n)]
     return {"n": n, "re": re, "im": im}
@@ -154,6 +161,32 @@ def artifacts(out):
     return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
 
 
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def assert_finite_artifact(data: bytes, params):
+    """JSON parses without NaN or +-Infinity; CSV cells are finite, but for placeholders.
+
+    The continuum's residual is a NaN placeholder in the end rows and in the
+    row before a shorter last interval, whose time stencil is uneven.
+    """
+    text = data.decode()
+    if text.startswith("{"):
+        json.loads(text, parse_constant=_reject_constant)
+        return
+    header, *rows = text.splitlines()
+    columns = header.split(",")
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    placeholder = np.zeros(table.shape, dtype=bool)
+    if "continuity_residual" in columns:
+        uneven = step_count(params["t_final"], params["dt"]) % params.get("snapshot_every", 1)
+        placeholder[[0, -1, -2] if uneven else [0, -1],
+                    columns.index("continuity_residual")] = True
+        assert np.all(np.isnan(table[placeholder]))
+    assert np.all(np.isfinite(table[~placeholder]))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(configs())
@@ -178,6 +211,7 @@ def test_cli_contract_on_drawn_configs(capfd, case):
         assert code in (0, 2, 3, 4) and stdout == ""
         if code == 0:
             assert err == [] and not diags and len(artifacts(out)) == 1
+            assert_finite_artifact(*artifacts(out).values(), cfg["params"])
         else:
             assert len(err) == 1 and set(json.loads(err[0])) == {"error", "message"}
             assert artifacts(out) == {}

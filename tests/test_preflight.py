@@ -32,6 +32,7 @@ from biham.spectral import biorthogonal_decompose
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(biham.__file__).resolve().parent.parent
+FLOAT_MAX = sys.float_info.max
 
 IDENTITY_2 = {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 
@@ -489,6 +490,48 @@ def test_rk4_overflow_found_by_the_run(tmp_path, capfd):
     # growing modes that psi0 leaves empty, so only the run decides
     cfg = {**OVERFLOW, "params": {**OVERFLOW["params"], "method": "rk4"}}
     assert_refused(tmp_path, cfg, capfd, 0, 3, "non_finite", "")
+
+
+def test_continuum_nan_residual_is_non_finite(tmp_path, capfd):
+    # the density overflows, so the residual is inf - inf: a nan, which must
+    # not reach the CSV as 0.0, "charge exactly conserved"
+    gaussian = {"center": 5e-151, "width": 2e-151}
+    cfg = {"command": "continuum", "params": {
+        "L": 1e-150, "N": 8, "psi0": {"kind": "gaussian", **gaussian},
+        "potential": {"kind": "complex_gaussian", **gaussian},
+        "dt": 3e-303, "t_final": 1.8e-302, "snapshot_every": 1}}
+    assert_refused(tmp_path, cfg, capfd, 0, 3, "non_finite", "")
+
+
+BEYOND_FLOAT_SPECTRUM = {"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]],
+                         "im": [[0.0, 0.0], [0.0, 0.0]]}  # eigenvalues 0 and 2e308
+
+
+@pytest.mark.parametrize("command, validate_code, where", [
+    ("decompose", 0, ""), ("verify", 0, ""), ("evolve", 2, "params.matrix: ")])
+def test_eigenvalue_beyond_float_range_is_non_finite(tmp_path, capfd, command,
+                                                     validate_code, where):
+    params = {"matrix": BEYOND_FLOAT_SPECTRUM}
+    if command == "evolve":
+        params.update(psi0={"re": [1.0, 0.0], "im": [0.0, 0.0]}, method="exact",
+                      t_final=1e-300, dt=1e-300)
+    assert_refused(tmp_path, {"command": command, "params": params}, capfd,
+                   validate_code, 3, "non_finite", where)
+
+
+@pytest.mark.parametrize("re, eigenvalues", [
+    ([[1.7e308, 0.0], [0.0, -1.7e308]], [-1.7e308, 1.7e308]),  # their gap overflows
+    # ||h||_2 overflows: the SVD of an unscaled adjoint residual did not converge
+    ([[FLOAT_MAX / 2, 0.0], [FLOAT_MAX, 0.0]], [0.0, FLOAT_MAX / 2]),
+])
+def test_spectrum_near_the_float_maximum_decomposes_without_warning(tmp_path, capfd, re,
+                                                                     eigenvalues):
+    matrix = {"n": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]}
+    validate, diags, run, err = both_routes(
+        tmp_path, {"command": "decompose", "params": {"matrix": matrix}}, capfd)
+    assert (validate, diags, run, err) == (0, [], 0, [])
+    report = json.loads((tmp_path / "out" / "decompose.json").read_text())
+    assert report["eigenvalues_re"] == eigenvalues
 
 
 def test_rk4_decomposes_once_per_route(tmp_path, capfd, monkeypatch):
