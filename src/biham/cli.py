@@ -529,8 +529,8 @@ def _run_continuum(inputs, params, rng):
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         q = np.sum(np.array([s.phibar for s in snaps]) * np.array([s.psi for s in snaps]),
                    axis=1) * config.dx
-        for k in range(1, last):
-            resid[k] = continuum.continuity_residual(snaps[k - 1:k + 2], config)
+        if last > 1:
+            resid[1:last] = continuum.continuity_residuals(snaps[:last + 1], config)
         norm = [np.vdot(s.psi, s.psi).real * config.dx for s in snaps]
     table = np.column_stack([[s.t for s in snaps], q.real, q.imag, resid, norm])
     placeholder = np.zeros(table.shape, dtype=bool)

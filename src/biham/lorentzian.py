@@ -242,24 +242,17 @@ def initial_sweep_state(path: SweepPath, csq, hbar: float = 1.0) -> StatePair:
     return StatePair(psi=psi, phibar=phibar, t=0.0, hbar=hbar)
 
 
-def _instantaneous_actions(p: LorentzianParams, psi, phibar, hbar: float,
-                           tolerant: bool = False) -> np.ndarray:
-    if tolerant and p.discriminant <= 0.0:
-        # closed forms break down; report the breakdown instead of raising
-        return np.array([np.nan, np.nan], dtype=complex)
-    pair = lorentzian_uv(p)
-    c = pair.left_vectors().conj().T @ psi
-    cbar = phibar @ pair.right_vectors()
-    return hbar * cbar * c
-
-
-# steps per block of the sweep kernel: its arrays hold O(_BLOCK) entries at any step count
+# steps per block of the sweep kernel: its arrays hold O(_CHUNK * _BLOCK) entries at any
+# step count.  Pieces end at every block edge as well as at every sample, which fixes
+# the rounding of every composed piece and so of the sweep's output.
 _BLOCK = 1024
+# blocks whose pieces are built and composed in one call
+_CHUNK = 4
 
 # The sweep kernel's 2x2 matrices all have the form [[a, b], [conj(b), conj(a)]]:
 # -i*dt*h/hbar has it (a = -i*dt*z/hbar with z real, b = -i*dt*(x + iy)/hbar),
-# so has its negated transpose, and real combinations and products keep it.
-# Each is stored as its first row (a, b): shape (2, 2, ...) is [a or b, field, ...].
+# and real combinations and products keep it.  Each is stored as its first row
+# (a, b): shape (2, ...) is [a or b, ...].
 
 
 def _mul(p, q):
@@ -269,16 +262,14 @@ def _mul(p, q):
 
 
 def _generators(path: SweepPath, rate: float, s: np.ndarray) -> np.ndarray:
-    """``-i*rate*h(s)`` for psi and ``+i*rate*h(s)^T`` for phibar^T, at each s.
+    """``-i*rate*h(s)`` at each s, the generator of psi' = -(i/hbar) h psi.
 
-    Field 0 is psi' = -(i/hbar) h psi and field 1 is phibar as a column,
-    phibar^T' = +(i/hbar) h^T phibar^T, so both take the same column steps.
     h(s) has the float operations of ``SweepPath.params_at``.
     """
     (x0, y0, z0), (x1, y1, z1) = path.start, path.end
     a = (-1j * rate) * (z0 + (z1 - z0) * s)
     b = (-1j * rate) * ((x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s))
-    return np.array([[a, -a], [b, -b.conj()]])
+    return np.array([a, b])
 
 
 def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int,
@@ -306,8 +297,8 @@ def _compose(inc: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     reduced together by a pairwise tree in increment form, ``Ea + Eb + Eb Ea``
     for ``Ea`` then ``Eb``: the product of the ``I + D`` matrices would round
     their near-1 diagonals at every step and drift by about ``steps * eps``.
-    Sample marks are near-equally spaced, so the padding stays below about
-    three times the block.
+    Pieces end at sample marks, which are near-equally spaced, and at block
+    edges, so the padding stays below a few times the steps composed.
     """
     lengths = np.diff(cuts)
     offsets = np.arange(lengths.max())
@@ -334,10 +325,12 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     RK4 steps of ``dt_eff = T/steps``, so it ends exactly at ``T``.
 
     h is affine in s, so each RK4 step is exactly a 2x2 matrix ``M_k`` per
-    field.  The kernel builds the increments ``M_k - I`` in blocks of at most
-    ``_BLOCK`` steps, composes them between recorded samples, and applies
-    one composed increment per piece: Python runs per block and per sample,
-    not per step, and memory does not grow with the step count.
+    field.  The kernel builds psi's increments ``M_k - I`` for ``_CHUNK``
+    blocks of ``_BLOCK`` steps at a time, composes them into pieces that end
+    at every block edge and every sample, takes phibar's pieces from psi's,
+    and applies one composed increment per piece: Python runs per chunk and
+    per piece, not per step, and memory does not grow with the step count.
+    The actions at all samples are evaluated together after the steps.
 
     Raises
     ------
@@ -356,41 +349,63 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     dt_eff = path.T / steps
 
     marks = np.unique(np.round(np.linspace(0, steps, path.samples)).astype(int))
-    times, actions, overlaps = [], [], []
-
-    def record(k, x):
-        psi, phibar = x[:, 0], x[:, 1]
-        times.append(k * dt_eff)
-        actions.append(_instantaneous_actions(path.params_at(k / steps), psi, phibar, hbar,
-                                              tolerant=not require_real_spectrum))
-        overlaps.append(np.sum(phibar * psi))
-
-    # column j is the field: psi, then phibar as a column
+    # states[m, :, j] at marks[m]; column j is the field: psi, then phibar as a column
+    states = np.empty((len(marks), 2, 2), dtype=complex)
     x = np.stack([state0.psi, state0.phibar], axis=1)
-    record(0, x)
-    next_mark = 1
+    states[0] = x
+    m = 1
     # overflow is a detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, steps, _BLOCK):
-            k1 = min(k0 + _BLOCK, steps)
+        for k0 in range(0, steps, _CHUNK * _BLOCK):
+            k1 = min(k0 + _CHUNK * _BLOCK, steps)
             inner = marks[np.searchsorted(marks, k0, "right"):np.searchsorted(marks, k1)]
-            cuts = np.concatenate(([k0], inner, [k1]))
-            pieces = _compose(_rk4_increments(path, dt_eff, hbar, steps, k0, k1), cuts - k0)
-            for end, (a, b) in zip(cuts[1:].tolist(), np.moveaxis(pieces, -1, 0)):
-                x = x + np.array([a * x[0] + b * x[1], b.conj() * x[0] + a.conj() * x[1]])
-                if end == marks[next_mark]:
-                    if not np.all(np.isfinite(x)):
-                        raise NonFinite(f"sweep state overflowed at step {end}")
-                    record(end, x)
-                    next_mark += 1
+            cuts = np.union1d(inner, np.append(np.arange(k0, k1, _BLOCK), k1))
+            pa, pb = _compose(_rk4_increments(path, dt_eff, hbar, steps, k0, k1), cuts - k0)
+            # phibar's generator is (conj(a), -conj(b)) of psi's and a piece is a real
+            # polynomial in generators, so phibar's pieces follow from psi's, bit for bit
+            # but for the sign of a zero b, which the state does not show
+            ca, cb = pa.conj(), pb.conj()
+            # a piece adds first * x[0] + second * x[1]: rows (a, conj(b)) and (b, conj(a))
+            first = np.moveaxis(np.array([[pa, ca], [cb, -pb]]), -1, 0)
+            second = np.moveaxis(np.array([[pb, -cb], [ca, pa]]), -1, 0)
+            for end, f, g in zip(cuts[1:].tolist(), first, second):
+                x = x + (f * x[0] + g * x[1])
+                if end == marks[m]:
+                    states[m] = x
+                    m += 1
+        # a non-finite entry stays non-finite, so the first bad mark is the first overflow
+        finite = np.isfinite(states[1:]).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFinite(f"sweep state overflowed at step {marks[1 + np.argmin(finite)]}")
 
-    times = np.asarray(times)
-    actions = np.asarray(actions)
-    overlaps = np.asarray(overlaps)
+        # the closed forms per sample, in the caller's scalar types: numpy's powers
+        # round differently from Python's
+        uv, outside = [], []
+        for k in marks.tolist():
+            p = path.params_at(k / steps)
+            # without the invariant test, a breakdown of the closed forms is reported as NaN
+            outside.append(not require_real_spectrum and p.discriminant <= 0.0)
+            if outside[-1]:
+                uv.append((math.nan, math.nan))
+            else:
+                pair = lorentzian_uv(p)
+                uv.append((pair.u, pair.v))
+        u, v = np.array(uv, dtype=complex).T
+        # LorentzianEigenpair's right and left vectors, one C-ordered 2x2 per sample:
+        # the products then take the per-sample BLAS calls' roundings
+        right = np.stack([u, v.conj(), v, u.conj()], axis=-1).reshape(-1, 2, 2)
+        left = np.stack([u, -v.conj(), -v, u.conj()], axis=-1).reshape(-1, 2, 2)
+        psi, phibar = states[..., 0], states[..., 1]
+        c = left.conj().transpose(0, 2, 1) @ psi[..., None]
+        cbar = phibar[:, None, :] @ right
+        actions = hbar * cbar[:, 0] * c[..., 0]
+        actions[outside] = np.nan
+        overlaps = np.sum(phibar * psi, axis=1)
+
     base = actions[0]
     deviations = np.empty_like(actions, dtype=float)
     for j in range(actions.shape[1]):
         gap = np.abs(actions[:, j] - base[j])
         deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > ABSENT_MODE_CUTOFF else gap
-    return ActionRecord(times=times, actions=actions, deviations=deviations,
+    return ActionRecord(times=marks * dt_eff, actions=actions, deviations=deviations,
                         overlaps=overlaps)

@@ -7,6 +7,7 @@ from biham.continuum import (
     LatticeField,
     complex_gaussian_potential,
     continuity_residual,
+    continuity_residuals,
     discretize,
     evolve_lattice,
     gaussian_packet,
@@ -160,6 +161,31 @@ class TestContinuity:
         snaps = [LatticeField(psi=big, phibar=big, V=np.zeros(8), t=t) for t in (0.0, 0.1, 0.2)]
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(continuity_residual(snaps, cfg))
+
+    @pytest.mark.parametrize("rows, sites", [(1001, 256), (29, 64)])
+    def test_stacked_residuals_equal_each_window_bitwise(self, rows, sites):
+        # 999 interior rows of 256 sites pass numpy's 256 KiB threshold for reusing
+        # temporaries in place, 27 rows of 64 do not
+        rng = np.random.default_rng(rows)
+        cfg = ContinuumConfig(L=20.0, N=sites)
+
+        def draw():
+            return rng.standard_normal(sites) + 1j * rng.standard_normal(sites)
+
+        snaps = [LatticeField(psi=draw(), phibar=draw(), V=np.zeros(sites), t=k * 0.0123)
+                 for k in range(rows)]
+
+        def window(k):
+            dt = snaps[k].t - snaps[k - 1].t
+            drho_dt = (snaps[k + 1].density - snaps[k - 1].density) / (2.0 * dt)
+            j = lattice_current(snaps[k], cfg)
+            div_j = (np.roll(j, -1) - np.roll(j, 1)) / (2.0 * cfg.dx)
+            return np.max(np.abs(drho_dt - div_j))
+
+        want = np.array([window(k) for k in range(1, rows - 1)])
+        got = continuity_residuals(snaps, cfg)
+        assert got.tobytes() == want.tobytes()
+        assert continuity_residual(snaps, cfg) == np.max(want)
 
     def test_stationary_hermitian_eigenmode(self):
         cfg = ContinuumConfig(L=10.0, N=32)

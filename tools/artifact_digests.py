@@ -1,0 +1,84 @@
+"""Digest what the CLI writes for every committed and generated config.
+
+    python tools/artifact_digests.py --seeds 0 1 > digests.json
+    python tools/artifact_digests.py --seeds 0 1 --src OTHER_TREE/src > other.json
+    diff digests.json other.json
+
+Runs ``biham.cli.main`` from ``--src`` (default: this tree's ``src``) on the
+five configs in ``tests/fixtures`` and on every config that
+``benchmarks/workloads.py`` generates for each seed and workload, one process
+per config with one BLAS thread.  It prints one JSON object: per config, the
+exit code and the SHA-256 of the artifact (``null`` when none is written), of
+stdout and of stderr.  The configs always come from this tree, so two source
+trees that behave the same print the same object.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+
+RUN_MAIN = "import sys; from biham.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def load_workloads():
+    path = ROOT / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(src: Path, command: str, config: Path, output: str) -> dict:
+    """Exit code and SHA-256s of one CLI run of ``config``, in a fresh output directory."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_MAIN, command, "--config", str(config), "--out", out],
+            capture_output=True, env=env, check=False)
+        artifact = Path(out) / output
+        return {"exit": proc.returncode,
+                "artifact": sha256(artifact.read_bytes()) if artifact.exists() else None,
+                "stdout": sha256(proc.stdout),
+                "stderr": sha256(proc.stderr)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[0],
+                        help="workload seeds to generate configs for (default: 0)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the biham package to run")
+    args = parser.parse_args(argv)
+    workloads = load_workloads()
+    result = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        config = json.loads(path.read_text())
+        result[f"fixture/{path.name}"] = digest(
+            args.src.resolve(), config["command"], path, config["output"])
+    with tempfile.TemporaryDirectory() as configs:
+        for seed in args.seeds:
+            for workload in workloads.WORKLOADS + workloads.EXTRA_WORKLOADS:
+                for scenario in workloads.generate(workload, seed, root=ROOT):
+                    path = scenario.write(configs)
+                    result[f"{workload}/{seed}/{scenario.id}"] = digest(
+                        args.src.resolve(), scenario.command, path, scenario.config["output"])
+    print(json.dumps(result, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
