@@ -394,9 +394,10 @@ def _finite_table(table, placeholder=None):
     return table
 
 
-def _initial_state(system, inputs, params, rng):
+def _initial_state(system, inputs, params, seed):
     psi0, phibar0 = inputs.get("psi0"), inputs.get("phibar0")
-    if psi0 is None:
+    if psi0 is None:  # numpy.random is imported only here
+        rng = np.random.default_rng(seed)
         psi0 = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
         psi0 /= np.linalg.norm(psi0)
     if phibar0 is None:
@@ -406,7 +407,7 @@ def _initial_state(system, inputs, params, rng):
     return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=params.get("hbar", 1.0))
 
 
-def _run_decompose(inputs, params, rng):
+def _run_decompose(inputs, params, seed):
     system = spectral.biorthogonal_decompose(inputs["h"],
                                              tol=params.get("tol", spectral.DEFAULT_TOL))
     report = {
@@ -421,7 +422,7 @@ def _run_decompose(inputs, params, rng):
     return report
 
 
-def _run_evolve(inputs, params, rng):
+def _run_evolve(inputs, params, seed):
     # the preflight decomposed h and built state0; for exact it checked the last record
     h, state0, steps = inputs["h"], inputs["state0"], inputs["steps"]
     dt = params["dt"]
@@ -448,10 +449,10 @@ def _run_evolve(inputs, params, rng):
          overlap.real, overlap.imag, norm]))
 
 
-def _run_verify(inputs, params, rng):
+def _run_verify(inputs, params, seed):
     h = inputs["h"]
     system = spectral.biorthogonal_decompose(h)
-    state = _initial_state(system, inputs, params, rng)
+    state = _initial_state(system, inputs, params, seed)
     report = canonical.canonical_report(
         h, state, system=system, fd_step=params.get("fd_step", canonical.FD_STEP))
     payload = {
@@ -466,7 +467,7 @@ def _run_verify(inputs, params, rng):
     return payload
 
 
-def _run_sweep(inputs, params, rng):
+def _run_sweep(inputs, params, seed):
     path = inputs["path"]
     state0 = lorentzian.initial_sweep_state(path, params["csq"],
                                             hbar=params.get("hbar", 1.0))
@@ -514,7 +515,7 @@ def _continuum_setup(params, tables):
     return config, V, psi0
 
 
-def _run_continuum(inputs, params, rng):
+def _run_continuum(inputs, params, seed):
     config, V, psi0 = inputs["lattice"]
     h = inputs["h"]
     field0 = continuum.initial_lattice_state(config, V, psi0, h=h)
@@ -560,9 +561,8 @@ def run_config(cfg: dict, out_dir) -> Path:
         raise ConfigError("; ".join(map(str, problems)))
     command = cfg["command"]
     seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
     log.info("running %s (seed %d)", command, seed)
-    artifact = _RUNNERS[command](inputs, cfg["params"], rng)  # a report, or (header, table)
+    artifact = _RUNNERS[command](inputs, cfg["params"], seed)  # a report, or (header, table)
     out_path = Path(out_dir) / cfg.get("output", DEFAULT_OUTPUT[command])
     if isinstance(artifact, dict):
         io.write_json(out_path, artifact)

@@ -38,6 +38,10 @@ MAX_STEPS = 10 ** 8
 # snapshots, sweep samples; each is held in memory and written as one CSV row
 MAX_RECORDS = 10 ** 6
 
+# single steps of an interval whose composed increment overflows are checked for
+# overflow this often, so such a run ends soon after its state does
+_FINITE_CHECK_EVERY = 1024
+
 
 def _state_vector(v, n=None) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
@@ -193,15 +197,23 @@ def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> Sta
 def check_step(h, dt: float, hbar: float) -> None:
     """Raise :class:`StepTooLarge` if ``dt * ||h||_2 / hbar`` exceeds the guard or is nan.
 
+    ``||h||_2 <= sqrt(||h||_1 ||h||_inf)``, so a ratio from that bound within the
+    guard passes without an SVD; ``||h||_2`` is computed only otherwise.
     ``ValueError`` if ``dt`` is not positive or ``h`` has a non-finite entry.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
-    with np.errstate(over="ignore"):  # an overflowing ratio is inf and still refused
+    # an overflowing ratio is inf and still refused, a nan one too
+    with np.errstate(over="ignore"):
+        magnitude = np.abs(h)
+        bound = np.sqrt(np.max(magnitude.sum(axis=0)) * np.max(magnitude.sum(axis=1)))
+        # the factor covers the rounding of the sums and of the SVD's own norm
+        if dt * bound / hbar * (1.0 + 1e-6) <= MAX_STEP_FRACTION:
+            return
         ratio = dt * np.linalg.norm(h, 2) / hbar
-    if not ratio <= MAX_STEP_FRACTION:  # a nan ratio is refused too
+    if not ratio <= MAX_STEP_FRACTION:
         raise StepTooLarge(
             f"dt*||h||/hbar = {ratio:.3g} exceeds the stability guard {MAX_STEP_FRACTION}"
         )
@@ -256,7 +268,7 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     product with the increment of ``R(z)^k``, formed once per run for
     ``record_every`` and for a shorter last interval; an interval whose
     increment overflows, as that of a growing mode can before the state
-    does, is taken one step at a time.
+    does, is taken one step at a time and given up once the state overflows.
 
     Raises
     ------
@@ -290,9 +302,13 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
                 pair = _increment_power(delta_psi, m), _increment_power(delta_phibar, m)
                 powers[m] = pair if all(np.all(np.isfinite(e)) for e in pair) else None
             if powers[m] is None:
-                for _ in range(m):
+                for i in range(1, m + 1):
                     psi = psi + delta_psi @ psi
                     phibar = phibar + phibar @ delta_phibar
+                    # an overflow ends the interval early; it is reported at its end
+                    if i % _FINITE_CHECK_EVERY == 0 and not (
+                            np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
+                        break
             else:
                 e_psi, e_phibar = powers[m]
                 psi = psi + e_psi @ psi

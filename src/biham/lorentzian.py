@@ -251,46 +251,48 @@ _CHUNK = 4
 
 # The sweep kernel's 2x2 matrices all have the form [[a, b], [conj(b), conj(a)]]:
 # -i*dt*h/hbar has it (a = -i*dt*z/hbar with z real, b = -i*dt*(x + iy)/hbar),
-# and real combinations and products keep it.  Each is stored as its first row
-# (a, b): shape (2, ...) is [a or b, ...].
+# and real combinations and products keep it.  Each is carried as its first
+# row, two arrays a and b of the same shape.
 
 
-def _mul(p, q):
-    """Products ``p[..., k] @ q[..., k]`` of matrices stored as their rows (a, b)."""
-    (pa, pb), (qa, qb) = p, q
-    return np.array([pa * qa + pb * qb.conj(), pa * qb + pb * qa.conj()])
+def _mul(pa, pb, qa, qb):
+    """Products ``p[k] @ q[k]`` of matrices given as their rows (a, b)."""
+    return pa * qa + pb * qb.conj(), pa * qb + pb * qa.conj()
 
 
-def _generators(path: SweepPath, rate: float, s: np.ndarray) -> np.ndarray:
-    """``-i*rate*h(s)`` at each s, the generator of psi' = -(i/hbar) h psi.
+def _generators(path: SweepPath, rate: float, s: np.ndarray):
+    """``-i*rate*h(s)`` at each s, the generator of psi' = -(i/hbar) h psi, as (a, b).
 
     h(s) has the float operations of ``SweepPath.params_at``.
     """
     (x0, y0, z0), (x1, y1, z1) = path.start, path.end
     a = (-1j * rate) * (z0 + (z1 - z0) * s)
     b = (-1j * rate) * ((x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s))
-    return np.array([a, b])
+    return a, b
 
 
-def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int,
-                    k0: int, k1: int) -> np.ndarray:
-    """``D_k = M_k - I`` for steps ``k0 <= k < k1``, last axis k.
+def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int, k0: int, k1: int):
+    """``D_k = M_k - I`` for steps ``k0 <= k < k1`` as (a, b), index k.
 
     ``M_k`` is one classical RK4 step of the linear ODE ``x' = A(s) x`` from A
     at ``s = k/steps``, ``(k + 1/2)/steps`` and ``(k + 1)/steps``, which is
     exact because h is affine in s.  Each stage is kept scaled by ``dt``.
     """
     # k/steps at even entries, (k + 1/2)/steps at odd ones, with the same roundings
-    g = _generators(path, dt / hbar, np.arange(2 * k0, 2 * k1 + 1) / 2 / steps)
-    a0, am, a1 = g[..., 0:-1:2], g[..., 1::2], g[..., 2::2]
-    k2 = am + 0.5 * _mul(am, a0)
-    k3 = am + 0.5 * _mul(am, k2)
-    k4 = a1 + _mul(a1, k3)
-    return (a0 + 2.0 * (k2 + k3) + k4) / 6.0
+    ga, gb = _generators(path, dt / hbar, np.arange(2 * k0, 2 * k1 + 1) / 2 / steps)
+    a0, am, a1 = ga[0:-1:2], ga[1::2], ga[2::2]
+    b0, bm, b1 = gb[0:-1:2], gb[1::2], gb[2::2]
+    pa, pb = _mul(am, bm, a0, b0)
+    a2, b2 = am + 0.5 * pa, bm + 0.5 * pb
+    pa, pb = _mul(am, bm, a2, b2)
+    a3, b3 = am + 0.5 * pa, bm + 0.5 * pb
+    pa, pb = _mul(a1, b1, a3, b3)
+    a4, b4 = a1 + pa, b1 + pb
+    return (a0 + 2.0 * (a2 + a3) + a4) / 6.0, (b0 + 2.0 * (b2 + b3) + b4) / 6.0
 
 
-def _compose(inc: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Increment of each piece ``cuts[p] <= k < cuts[p + 1]`` of ``inc[..., k]``, last axis p.
+def _compose(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
+    """Increment of each piece ``cuts[p] <= k < cuts[p + 1]`` of ``(a[k], b[k])``, index p.
 
     ``E`` of a piece has ``I + E = (I + D_last) ... (I + D_first)``.  Pieces
     are padded with zero increments (exact identity steps) to one width and
@@ -303,14 +305,19 @@ def _compose(inc: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     lengths = np.diff(cuts)
     offsets = np.arange(lengths.max())
     # a padded slot points past the end, at the appended zero increment
-    at = np.where(offsets < lengths[:, None], cuts[:-1, None] + offsets, inc.shape[-1])
-    inc = np.concatenate((inc, np.zeros(inc.shape[:-1] + (1,), complex)), axis=-1)[..., at]
-    while inc.shape[-1] > 1:
-        n = inc.shape[-1]
-        first, then = inc[..., 0:n - 1:2], inc[..., 1:n:2]
-        pairs = first + then + _mul(then, first)
-        inc = pairs if n % 2 == 0 else np.concatenate((pairs, inc[..., -1:]), axis=-1)
-    return inc[..., 0]
+    at = np.where(offsets < lengths[:, None], cuts[:-1, None] + offsets, a.shape[-1])
+    zero = np.zeros(1, complex)
+    a, b = np.concatenate((a, zero))[at], np.concatenate((b, zero))[at]
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        fa, fb, ta, tb = a[:, 0:n - 1:2], b[:, 0:n - 1:2], a[:, 1:n:2], b[:, 1:n:2]
+        pa, pb = _mul(ta, tb, fa, fb)
+        pa, pb = fa + ta + pa, fb + tb + pb
+        if n % 2:
+            pa = np.concatenate((pa, a[:, -1:]), axis=1)
+            pb = np.concatenate((pb, b[:, -1:]), axis=1)
+        a, b = pa, pb
+    return a[:, 0], b[:, 0]
 
 
 def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
@@ -353,6 +360,7 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     states = np.empty((len(marks), 2, 2), dtype=complex)
     x = np.stack([state0.psi, state0.phibar], axis=1)
     states[0] = x
+    mark_list = marks.tolist()
     m = 1
     # overflow is a detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,7 +368,7 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
             k1 = min(k0 + _CHUNK * _BLOCK, steps)
             inner = marks[np.searchsorted(marks, k0, "right"):np.searchsorted(marks, k1)]
             cuts = np.union1d(inner, np.append(np.arange(k0, k1, _BLOCK), k1))
-            pa, pb = _compose(_rk4_increments(path, dt_eff, hbar, steps, k0, k1), cuts - k0)
+            pa, pb = _compose(*_rk4_increments(path, dt_eff, hbar, steps, k0, k1), cuts - k0)
             # phibar's generator is (conj(a), -conj(b)) of psi's and a piece is a real
             # polynomial in generators, so phibar's pieces follow from psi's, bit for bit
             # but for the sign of a zero b, which the state does not show
@@ -370,7 +378,7 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
             second = np.moveaxis(np.array([[pb, -cb], [ca, pa]]), -1, 0)
             for end, f, g in zip(cuts[1:].tolist(), first, second):
                 x = x + (f * x[0] + g * x[1])
-                if end == marks[m]:
+                if end == mark_list[m]:
                     states[m] = x
                     m += 1
         # a non-finite entry stays non-finite, so the first bad mark is the first overflow

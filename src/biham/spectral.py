@@ -12,11 +12,12 @@ against the adjoint matrix independently.
 
 Tests against ``||h||_2`` are decided from ``||h||_F`` by the classical bounds
 ``||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F``; the SVDs of ``h`` and of the adjoint
-residual are taken only when those bounds leave a verdict open.
+residual are taken only when those bounds leave a verdict open.  The rank test
+of the eigenvector matrix is decided from its inverse the same way, and its
+condition number is computed only when read.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +45,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
 class BiorthogonalSystem:
     """Paired eigenvalues and right/left eigenvector columns with B^H A = I.
 
     ``right[:, j]`` is the right eigenvector ``a_j`` and ``left[:, j]`` the left
     eigenvector ``b_j``; ``cond`` is the condition number of the right
-    eigenvector matrix.  Eigenvalues are sorted by (real, imaginary) part and
-    the columns follow that order.  Rectangular ``right``/``left`` (fewer
-    columns than rows) are tolerated so residuals of truncated systems can be
-    measured.
+    eigenvector matrix, from its SVD when first read unless given.
+    Eigenvalues are sorted by (real, imaginary) part and the columns follow
+    that order.  Rectangular ``right``/``left`` (fewer columns than rows) are
+    tolerated so residuals of truncated systems can be measured.
     """
 
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    cond: float
-
-    def __post_init__(self):
-        self.eigenvalues = _readonly(np.asarray(self.eigenvalues, dtype=complex))
-        self.right = _readonly(np.asarray(self.right, dtype=complex))
-        self.left = _readonly(np.asarray(self.left, dtype=complex))
+    def __init__(self, eigenvalues, right, left, cond: float = None):
+        self.eigenvalues = _readonly(np.asarray(eigenvalues, dtype=complex))
+        self.right = _readonly(np.asarray(right, dtype=complex))
+        self.left = _readonly(np.asarray(left, dtype=complex))
         if self.right.shape != self.left.shape:
             raise ValueError("right and left eigenvector matrices must match in shape")
         if self.right.shape[1] != self.eigenvalues.shape[0]:
             raise ValueError("one eigenvalue per eigenvector column required")
+        if cond is not None:
+            self.cond = cond
+
+    @functools.cached_property
+    def cond(self) -> float:
+        svals = np.linalg.svd(self.right, compute_uv=False)
+        return float(svals[0] / svals[-1])
 
     @property
     def n(self) -> int:
@@ -160,14 +162,27 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
     evals = evals[order]
     right = _fix_gauge(right[:, order])
 
-    svals = np.linalg.svd(right, compute_uv=False)
-    with np.errstate(over="ignore"):  # a tol near the float maximum gives inf: rank deficient
-        deficient = svals[-1] < tol * svals[0]
-    if deficient:
-        raise NotDiagonalizable(
-            f"right eigenvector matrix is rank deficient "
-            f"(singular value ratio {svals[-1] / svals[0]:.3e} < tol {tol:.1e})"
-        )
+    # unit columns give sigma_max <= sqrt(n) and sigma_min >= 1 / ||A^-1||_F, so the
+    # rank test needs the SVD only where that bound, with a factor 2 for rounding,
+    # cannot decide it or the inverse fails
+    try:
+        inverse = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        inverse = None
+    cond = None
+    with np.errstate(over="ignore"):  # a tol near the float maximum gives inf: undecided
+        decided = inverse is not None and (
+            1.0 / (np.sqrt(len(evals)) * np.linalg.norm(inverse)) >= 2.0 * tol)
+    if not decided:
+        svals = np.linalg.svd(right, compute_uv=False)
+        with np.errstate(over="ignore"):  # an inf tol * svals[0]: rank deficient
+            deficient = svals[-1] < tol * svals[0]
+        if deficient:
+            raise NotDiagonalizable(
+                f"right eigenvector matrix is rank deficient "
+                f"(singular value ratio {svals[-1] / svals[0]:.3e} < tol {tol:.1e})"
+            )
+        cond = float(svals[0] / svals[-1])
     # the tests run on g = h * unit, a power of two, so g is exact; its largest part is
     # in [0.5, 1), or at least 2^-51 for a subnormal h as unit stops at 2^1023, so no norm,
     # eigenvalue gap or residual of g over- or underflows
@@ -185,8 +200,9 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
             f"eigenvalues {evals[i]:.6g} and {evals[j]:.6g} coincide "
             f"within tol*||h|| with a deficient eigenspace"
         )
-    cond = float(svals[0] / svals[-1])
-    left = np.linalg.inv(right).conj().T
+    if inverse is None:  # singular to LAPACK, yet above tol: inv raises as it did
+        inverse = np.linalg.inv(right)
+    left = np.conj(inverse, out=inverse).T
 
     # independent cross-check: b_j must be right eigenvectors of h^H
     residual = (h.conj() * unit).T @ left - left * g_evals.conj()[None, :]

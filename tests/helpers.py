@@ -51,3 +51,18 @@ def random_hermitian(rng, n, norm=1.0):
 def random_state(rng, n, normalize=True):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v) if normalize else v
+
+
+def count_svds(monkeypatch):
+    """Record the shape of each ``np.linalg.svd`` call, also of those ``norm(x, 2)`` makes."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    # the module that defines norm, whatever its name in this numpy version
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counted)
+    return calls

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,3 +214,15 @@ def test_run_config_returns_artifact_path(tmp_path):
     path = run_config(cfg, tmp_path)
     assert path == tmp_path / "decompose.json"
     assert path.exists()
+
+
+def test_evolve_does_not_import_numpy_random(tmp_path):
+    # only verify without psi0 draws a state; every other run leaves numpy.random unloaded
+    code = ("import sys; from biham.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    config = FIXTURES / "evolve_phase_flip.json"
+    out = subprocess.run(
+        [sys.executable, "-c", code, "evolve", "--config", str(config), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "False\n"

@@ -2,7 +2,8 @@
 
 ``biorthogonal_decompose`` scans eigenvalue pairs by lag, fixes the gauge of
 all columns at once and decides its tests against ``||h||_2`` from
-``||h||_F`` unless the bounds leave a verdict open.  On every case below it
+``||h||_F`` unless the bounds leave a verdict open, and its rank test from
+``||S^-1||_F`` unless that bound does.  On every case below it
 must give the verdict and message of the reference, and on acceptance the
 same bits.  ``gradient_fd_mismatch`` reuses ``phibar @ h`` for the psi
 probes and must return the reference's value bit for bit.
@@ -26,7 +27,8 @@ from biham.spectral import (
     biorthogonal_decompose,
 )
 
-from helpers import random_diagonalizable, random_hermitian, random_state, random_unitary
+from helpers import (count_svds, random_diagonalizable, random_hermitian, random_state,
+                     random_unitary)
 
 
 def reference_fix_gauge(vecs):
@@ -274,6 +276,48 @@ def test_adjoint_verdicts_that_need_the_exact_norm(two_norms):
     # the Frobenius bound: a bound looser than the classical one accepts them
     for delta in (3.7e-17, 3.8e-17, 5.4e-17):
         assert_same_outcome([[1, 1], [delta, 1]], 1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_rank_verdicts_in_the_undecided_band(monkeypatch, n):
+    # tol around the singular value ratio of the eigenvector matrix: far below
+    # it the inverse's bound decides, near it the SVD does, above it rejects
+    rng = np.random.default_rng(60 + n)
+    h = random_diagonalizable(rng, n, cond=float(rng.uniform(50.0, 500.0)))[0]
+    right = reference_decompose(h)[1]
+    svals = np.linalg.svd(right, compute_uv=False)
+    ratio = svals[-1] / svals[0]
+    bound = 1.0 / (np.sqrt(n) * np.linalg.norm(np.linalg.inv(right)))
+    messages = []
+    svds = count_svds(monkeypatch)
+    for tol in (0.4 * bound, 0.6 * bound, 0.99 * ratio, ratio, 1.01 * ratio, 3.0 * ratio):
+        messages.append(assert_same_outcome(h, tol))
+        svds.clear()
+        outcome(biorthogonal_decompose, h, tol)
+        assert svds == ([] if bound >= 2.0 * tol else [(n, n)]), tol
+    assert messages[:3] == [None] * 3
+    assert all("rank deficient" in m for m in messages[4:])
+
+
+def test_singular_eigenvector_matrix_gets_the_svd_message(monkeypatch):
+    # two exactly parallel eigenvectors: inv raises, and the SVD's verdict is the message
+    monkeypatch.setattr(np.linalg, "eig", lambda h: (np.array([1.0, 2.0 + 0j]),
+                                                     np.array([[1.0, 3.0], [0.0, 0.0 + 0j]])))
+    message = assert_same_outcome(np.diag([1.0, 2.0]))
+    assert "rank deficient (singular value ratio 0.000e+00" in message
+
+
+def test_failed_inverse_of_a_full_rank_matrix_raises_as_before(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    h = random_diagonalizable(np.random.default_rng(4), 5)[0]
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    for decompose in (biorthogonal_decompose, reference_decompose):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            decompose(h)
+    # a deficient matrix is still reported as such before the inverse is needed
+    assert "rank deficient" in assert_same_outcome(np.diag([1.0, 1.0]) + np.diag([1.0], 1))
 
 
 def test_separated_spectrum_takes_no_two_norm(two_norms):

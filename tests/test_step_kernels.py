@@ -4,7 +4,7 @@
 and field; it must agree with classical RK4 taken stage by stage and with
 per-step RK4 in extended precision over a long horizon, apply the one-step
 increment itself when every step is recorded, and step singly through an
-interval whose composed increment overflows.  The sweep kernel
+interval whose composed increment overflows, until the state overflows.  The sweep kernel
 composes blocked one-step RK4 maps between samples; it must agree with the
 scalar stage-by-stage sweep kept here, report overflow at the same sample
 and use memory that does not grow with the step count.  It builds psi's
@@ -16,6 +16,7 @@ refuses a non-finite generator or step ratio.
 """
 
 import json
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -216,6 +217,21 @@ def test_overflowing_increment_falls_back_to_single_steps():
     assert 1e25 < abs(got[-1].psi[0]) < 1e26
     assert np.linalg.norm(got[-1].psi - psi) <= 1e-12 * np.linalg.norm(psi)
     assert np.linalg.norm(got[-1].phibar - phibar) <= 1e-12 * np.linalg.norm(phibar)
+
+
+def test_overflowing_interval_ends_soon_after_the_state_overflows(tmp_path, capfd):
+    # the fixture's gain at dt = 0.08: R(z)^500000 overflows, so each interval is
+    # stepped singly, and the state overflows near step 31 000 of the first one
+    cfg = json.loads((FIXTURES / "continuum_gaussian.json").read_text())
+    cfg["params"].update(dt=0.08, t_final=0.08 * 10 ** 6, snapshot_every=500000)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    assert main(["continuum", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    # reported at the interval's end, as when the whole interval was stepped
+    assert capfd.readouterr().err == ('{"error": "non_finite", "message": '
+                                      '"state overflowed by step 500000 (t=40000)"}\n')
 
 
 def test_sweep_fixture_deviation_is_frozen(tmp_path):
@@ -539,7 +555,7 @@ def test_phibar_pieces_are_psi_pieces_conjugated(seed):
     cuts = np.union1d(marks, np.append(np.arange(0, steps, lorentzian._BLOCK), steps))
     dt = path.T / steps
     want = two_field_compose(two_field_increments(path, dt, hbar, steps, 0, steps), cuts)
-    pa, pb = lorentzian._compose(lorentzian._rk4_increments(path, dt, hbar, steps, 0, steps),
+    pa, pb = lorentzian._compose(*lorentzian._rk4_increments(path, dt, hbar, steps, 0, steps),
                                  cuts)
     assert same_bits(pa, want[0, 0]) and same_bits(pb, want[1, 0])
     assert same_bits(pa.conj(), want[0, 1])

@@ -7,9 +7,11 @@
 Runs ``biham.cli.main`` from ``--src`` (default: this tree's ``src``) on the
 five configs in ``tests/fixtures`` and on every config that
 ``benchmarks/workloads.py`` generates for each seed and workload, one process
-per config with one BLAS thread.  It prints one JSON object: per config, the
-exit code and the SHA-256 of the artifact (``null`` when none is written), of
-stdout and of stderr.  The configs always come from this tree, so two source
+per config and route with one BLAS thread.  It prints one JSON object: per
+config, the exit code and the SHA-256 of the artifact (``null`` when none is
+written), of stdout and of stderr, and under ``validate`` the exit code and
+the SHA-256 of stdout and stderr of the same config run with
+``--validate-only``.  The configs always come from this tree, so two source
 trees that behave the same print the same object.
 """
 
@@ -42,18 +44,30 @@ def sha256(data: bytes) -> str:
 
 
 def digest(src: Path, command: str, config: Path, output: str) -> dict:
-    """Exit code and SHA-256s of one CLI run of ``config``, in a fresh output directory."""
+    """Exit codes and SHA-256s of the run and the ``--validate-only`` run of ``config``.
+
+    Each run writes to a fresh output directory.
+    """
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def run(out, *flags):
+        return subprocess.run(
+            [sys.executable, "-c", RUN_MAIN, command, "--config", str(config), "--out", out,
+             *flags], capture_output=True, env=env, check=False)
+
     with tempfile.TemporaryDirectory() as out:
-        proc = subprocess.run(
-            [sys.executable, "-c", RUN_MAIN, command, "--config", str(config), "--out", out],
-            capture_output=True, env=env, check=False)
+        proc = run(out)
         artifact = Path(out) / output
-        return {"exit": proc.returncode,
-                "artifact": sha256(artifact.read_bytes()) if artifact.exists() else None,
-                "stdout": sha256(proc.stdout),
-                "stderr": sha256(proc.stderr)}
+        result = {"exit": proc.returncode,
+                  "artifact": sha256(artifact.read_bytes()) if artifact.exists() else None,
+                  "stdout": sha256(proc.stdout),
+                  "stderr": sha256(proc.stderr)}
+    with tempfile.TemporaryDirectory() as out:
+        proc = run(out, "--validate-only")
+        result["validate"] = {"exit": proc.returncode, "stdout": sha256(proc.stdout),
+                              "stderr": sha256(proc.stderr)}
+    return result
 
 
 def main(argv=None) -> int:
