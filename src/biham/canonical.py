@@ -21,6 +21,9 @@ from .errors import NonFinite
 from .spectral import BiorthogonalSystem, as_square_matrix, biorthogonal_decompose
 
 FD_STEP = 1e-6
+# probes of the finite-difference check taken as one stack; a block bounds the
+# check's own memory to a few (_FD_BLOCK, n) arrays
+_FD_BLOCK = 64
 
 
 @dataclass
@@ -101,29 +104,34 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
     scale = max(float(np.max(np.abs(d_phibar))), float(np.max(np.abs(d_psi))), 1.0)
 
     # H(phibar, ps) = (phibar @ h) @ ps = d_psi @ ps: the psi probes need no product with h
-    eye = np.eye(psi.shape[0], dtype=complex)
-    parts = []
+    n = psi.shape[0]
+    worst = 0.0
     # a step at the ends of the float range overflows; its gaps are refused
     # below.  Halving first keeps a step at the float maximum in range, where
     # 2 * step is inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for probe in (1.0, 1j):
-            # row k is the central difference along the Re (probe=1) or Im (probe=i)
-            # axis of component k; stacks of 1 x n rows and n x 1 columns take the
-            # roundings of the per-probe vector products
-            shift = step * probe * eye
-            num_phibar = (((phibar + shift)[:, None, :] @ h) @ psi[:, None]
-                          - ((phibar - shift)[:, None, :] @ h) @ psi[:, None])[:, 0, 0] / 2 / step
-            num_psi = (d_psi[None, None, :] @ (psi + shift)[:, :, None]
-                       - d_psi[None, None, :] @ (psi - shift)[:, :, None])[:, 0, 0] / 2 / step
-            parts += [num_phibar - probe * d_phibar, num_psi - probe * d_psi]
-        diff = np.concatenate(parts)
-        # hypot is the modulus abs() gives one complex; np.abs of an array can
-        # differ from it in the last bit
-        gaps = np.hypot(diff.real, diff.imag)
-    if not np.all(np.isfinite(gaps)):
-        raise NonFinite(f"central differences with step {step!r} leave the float range")
-    return float(np.max(gaps)) / scale
+        for start in range(0, n, _FD_BLOCK):
+            rows = slice(start, min(start + _FD_BLOCK, n))
+            eye = np.eye(rows.stop - start, n, k=start, dtype=complex)
+            for probe in (1.0, 1j):
+                # row k is the central difference along the Re (probe=1) or Im (probe=i)
+                # axis of component k; stacks of 1 x n rows and n x 1 columns take the
+                # roundings of the per-probe vector products
+                shift = step * probe * eye
+                num_phibar = (((phibar + shift)[:, None, :] @ h) @ psi[:, None]
+                              - ((phibar - shift)[:, None, :] @ h) @ psi[:, None])[:, 0, 0]
+                num_psi = (d_psi[None, None, :] @ (psi + shift)[:, :, None]
+                           - d_psi[None, None, :] @ (psi - shift)[:, :, None])[:, 0, 0]
+                for diff in (num_phibar / 2 / step - probe * d_phibar[rows],
+                             num_psi / 2 / step - probe * d_psi[rows]):
+                    # hypot is the modulus abs() gives one complex; np.abs of an
+                    # array can differ from it in the last bit
+                    gaps = np.hypot(diff.real, diff.imag)
+                    if not np.all(np.isfinite(gaps)):
+                        raise NonFinite(f"central differences with step {step!r} leave "
+                                        f"the float range")
+                    worst = max(worst, float(np.max(gaps)))
+    return worst / scale
 
 
 def canonical_report(h, state: StatePair, system: BiorthogonalSystem = None,

@@ -208,10 +208,15 @@ def check_step(h, dt: float, hbar: float) -> None:
     # an overflowing ratio is inf and still refused, a nan one too
     with np.errstate(over="ignore"):
         magnitude = np.abs(h)
-        bound = np.sqrt(np.max(magnitude.sum(axis=0)) * np.max(magnitude.sum(axis=1)))
-        # the factor covers the rounding of the sums and of the SVD's own norm
-        if dt * bound / hbar * (1.0 + 1e-6) <= MAX_STEP_FRACTION:
-            return
+        col, row = np.max(magnitude.sum(axis=0)), np.max(magnitude.sum(axis=1))
+        # subnormal sums have lost their relative precision; the SVD decides those
+        if min(col, row) >= np.finfo(float).tiny:
+            # the factor covers the rounding of the sums and of the SVD's own norm.
+            # Taken before dt and hbar, it leaves a bound above ||h||_2 as computed,
+            # so the ratio below, rounded as the SVD's is, cannot fall under it
+            bound = np.sqrt(col) * np.sqrt(row) * (1.0 + 1e-6)
+            if dt * bound / hbar <= MAX_STEP_FRACTION:
+                return
         ratio = dt * np.linalg.norm(h, 2) / hbar
     if not ratio <= MAX_STEP_FRACTION:
         raise StepTooLarge(

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from biham import spectral
+from biham import canonical, spectral
 from biham.canonical import gradient_fd_mismatch
 from biham.dynamics import StatePair
 from biham.errors import NotDiagonalizable
@@ -353,6 +353,32 @@ def test_fd_mismatch_matches_the_loop_bitwise(n):
     assert gradient_fd_mismatch(h, state) == reference_gradient_fd_mismatch(h, state)
     assert gradient_fd_mismatch(h, state, step=1e-3) == reference_gradient_fd_mismatch(
         h, state, step=1e-3)
+
+
+@pytest.mark.parametrize("n, block", [(130, 64), (10, 3), (7, 7)])
+def test_fd_mismatch_in_blocks_matches_the_loop_bitwise(monkeypatch, n, block):
+    # the probes run in blocks of rows, each with the roundings of its own probe
+    monkeypatch.setattr(canonical, "_FD_BLOCK", block)
+    rng = np.random.default_rng(70 + n)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    state = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n), hbar=1.3)
+    assert gradient_fd_mismatch(h, state) == reference_gradient_fd_mismatch(h, state)
+
+
+def test_fd_mismatch_memory_peak():
+    # the check's own arrays are a few (block, n) stacks, not n x n ones
+    n = 256
+    rng = np.random.default_rng(702)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    state = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gradient_fd_mismatch(h, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * canonical._FD_BLOCK * n
 
 
 def test_decompose_memory_peak():

@@ -101,14 +101,41 @@ def test_step_guard_at_the_guard_exactly():
     (np.eye(2) * 10.0, 1e308, 1.0),                 # an overflowing ratio is inf
     (np.eye(2), 0.1, 1e-308),                       # overflow through hbar
     (np.array([[1, 1], [1, -1]]) * 1e308, 1e-309, 1.0),  # the sums overflow, the norm not
+    (np.diag([1e-200, 2e-200]), 1e200, 1.0),        # the sums' product underflows to 0
+    (np.diag([3e-161, 1.5e-161]), MAX_STEP_FRACTION / 3e-161 * (1 + 1e-5), 1.0),
+    # ^ a subnormal product of the sums, the ratio just above the guard
+    (np.diag([1e-310, 5e-311]), 1e300, 1.99998e-10),  # subnormal sums, ratio 0.500005
+    (np.diag([1.5495936876730596e-28, 7.7e-29]), 3.0129964973017175e-294, 189 * 5e-324),
+    # ^ dt * ||h||_2 subnormal: a margin taken after the rounding of dt * bound passes this
     (np.zeros((4, 4)), 1.0, 1.0),                   # a zero generator passes
     (np.eye(2), 5e-324, 1.0),                       # a subnormal step
     (np.eye(2), -1.0, 1.0),                         # not positive
     (np.array([[np.inf, 0], [0, 1]]), 0.1, 1.0),    # not finite
-], ids=["nan_dt", "overflow_dt", "overflow_hbar", "overflow_sums", "zero", "subnormal",
+], ids=["nan_dt", "overflow_dt", "overflow_hbar", "overflow_sums", "underflow_sums",
+        "subnormal_product", "subnormal_sums", "subnormal_ratio", "zero", "subnormal",
         "negative", "inf_entry"])
 def test_step_guard_edge_cases_match_the_svd_guard(h, dt, hbar):
     assert_same_verdict(np.asarray(h, dtype=complex), dt, hbar)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-200, 3e-161, 1e-100, 1.0, 1e100, 1e200,
+                                   1e300])
+def test_step_guard_matches_the_svd_guard_across_scales(scale):
+    # the bound's sums and the ratio's products may underflow or round as
+    # subnormals at these scales; the verdict must still be the SVD guard's,
+    # also for an hbar that makes dt * ||h||_2 subnormal
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for base in (np.diag([1.0, 0.5, 1j]), rng.standard_normal((5, 5)) + 0j):
+        h = base * scale
+        norm = np.linalg.norm(h, 2)
+        for hbar in (1.0, scale, 1e-300, 2e-310):
+            for factor in (0.5, 0.999, 1.0, 1.00001, 1.001, 2.0):
+                with np.errstate(over="ignore"):
+                    dt = factor * MAX_STEP_FRACTION * hbar / norm
+                if 0.0 < dt < np.inf:
+                    verdicts.add(assert_same_verdict(h, dt, hbar))
+    assert verdicts == {"ok", "StepTooLarge"}
 
 
 @pytest.mark.parametrize("N", [64, 256])
