@@ -8,108 +8,9 @@ sweeps (:mod:`biham.lorentzian`), and a periodic lattice discretization of
 the complex-potential dynamics with its conserved charge and current
 (:mod:`biham.continuum`).  ``biham.cli`` exposes everything as a
 config-driven scenario runner.
+
+Import the modules themselves, as in ``from biham import dynamics, spectral``:
+this package re-exports nothing, so ``import biham`` alone loads none of them.
 """
 
-from .canonical import (
-    CanonicalReport,
-    canonical_report,
-    canonical_rhs,
-    gradient_fd_mismatch,
-    hamiltonian_value,
-    lagrangian_value,
-    modal_hamiltonian,
-)
-from .continuum import (
-    ContinuumConfig,
-    LatticeField,
-    continuity_residual,
-    discretize,
-    lattice_charge,
-    lattice_current,
-)
-from .dynamics import (
-    ModalCoordinates,
-    StatePair,
-    conjugate_field,
-    evolve_exact,
-    evolve_rk4,
-    expand_state,
-    overlap,
-    right_norm,
-)
-from .errors import (
-    ComputeError,
-    ConfigError,
-    InsufficientSnapshots,
-    IoError,
-    NonFinite,
-    NotDiagonalizable,
-    OutsideRealRegime,
-    StepTooLarge,
-    ZeroModalCoefficient,
-)
-from .lorentzian import (
-    ActionRecord,
-    LorentzianEigenpair,
-    LorentzianParams,
-    SweepPath,
-    lorentzian_conjugate,
-    lorentzian_matrix,
-    lorentzian_uv,
-    sweep_adiabatic,
-)
-from .spectral import (
-    BiorthogonalSystem,
-    biorthogonal_decompose,
-    biorthonormality_residual,
-    completeness_residual,
-    spectrum_is_real,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionRecord",
-    "BiorthogonalSystem",
-    "CanonicalReport",
-    "ComputeError",
-    "ConfigError",
-    "ContinuumConfig",
-    "InsufficientSnapshots",
-    "IoError",
-    "LatticeField",
-    "LorentzianEigenpair",
-    "LorentzianParams",
-    "ModalCoordinates",
-    "NonFinite",
-    "NotDiagonalizable",
-    "OutsideRealRegime",
-    "StatePair",
-    "StepTooLarge",
-    "SweepPath",
-    "ZeroModalCoefficient",
-    "biorthogonal_decompose",
-    "biorthonormality_residual",
-    "canonical_report",
-    "canonical_rhs",
-    "completeness_residual",
-    "conjugate_field",
-    "continuity_residual",
-    "discretize",
-    "evolve_exact",
-    "evolve_rk4",
-    "expand_state",
-    "gradient_fd_mismatch",
-    "hamiltonian_value",
-    "lagrangian_value",
-    "lattice_charge",
-    "lattice_current",
-    "lorentzian_conjugate",
-    "lorentzian_matrix",
-    "lorentzian_uv",
-    "modal_hamiltonian",
-    "overlap",
-    "right_norm",
-    "spectrum_is_real",
-    "sweep_adiabatic",
-]

@@ -10,7 +10,6 @@ seed.  Exit codes: 0 ok, 2 config error, 3 compute error, 4 io error.
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -19,8 +18,6 @@ import numpy as np
 
 from . import canonical, continuum, dynamics, io, lorentzian, spectral
 from .errors import ComputeError, ConfigError, IoError, NonFinite
-
-log = logging.getLogger("biham")
 
 COMMANDS = ("decompose", "evolve", "verify", "sweep", "continuum")
 
@@ -560,26 +557,18 @@ def run_config(cfg: dict, out_dir) -> Path:
             raise problems[0]
         raise ConfigError("; ".join(map(str, problems)))
     command = cfg["command"]
-    seed = cfg.get("seed", 0)
-    log.info("running %s (seed %d)", command, seed)
-    artifact = _RUNNERS[command](inputs, cfg["params"], seed)  # a report, or (header, table)
+    # a report, or (header, table)
+    artifact = _RUNNERS[command](inputs, cfg["params"], cfg.get("seed", 0))
     out_path = Path(out_dir) / cfg.get("output", DEFAULT_OUTPUT[command])
     if isinstance(artifact, dict):
         io.write_json(out_path, artifact)
     else:
         io.write_csv(out_path, *artifact)
-    log.info("wrote %s", out_path)
     return out_path
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _configure_logging():
-    level = os.environ.get("BIHAM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,7 +589,6 @@ def _emit_error(code: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -38,8 +38,24 @@ class LorentzianParams:
         return self.z * self.z - self.x * self.x - self.y * self.y
 
     @property
+    def unit(self) -> float:
+        """Power of two that puts ``(x, y, z) * unit`` where squares neither overflow nor
+        underflow: 1 while the largest magnitude lies in [2^-500, 2^500), where the closed
+        forms keep the bits of ``**`` (libm's pow, which an exact rescaling can round
+        differently), and otherwise the one that brings it into [0.5, 1)."""
+        exponent = math.frexp(max(abs(self.x), abs(self.y), abs(self.z)))[1]
+        return 1.0 if -500 < exponent <= 500 else math.ldexp(1.0, min(-exponent, 1023))
+
+    @property
+    def scaled_discriminant(self) -> float:
+        """The discriminant of ``(x, y, z) * unit``: its sign at every scale."""
+        unit = self.unit
+        x, y, z = self.x * unit, self.y * unit, self.z * unit
+        return z * z - x * x - y * y
+
+    @property
     def in_real_regime(self) -> bool:
-        return self.discriminant >= 0.0
+        return self.scaled_discriminant >= 0.0
 
     @property
     def spectral_norm(self) -> float:
@@ -96,18 +112,22 @@ def lorentzian_uv(p: LorentzianParams) -> LorentzianEigenpair:
         If ``z^2 <= x^2 + y^2`` (complex or exceptional spectrum; the closed
         forms break down and sgn(z) is not defined at z = 0).
     """
-    disc = p.discriminant
+    # (u, v) are scale-free: they come from the scaled parameters, and E is scaled back
+    unit = p.unit
+    x, y, z = p.x * unit, p.y * unit, p.z * unit
+    disc = z * z - x * x - y * y
     if disc <= 0.0:
         raise OutsideRealRegime(
-            f"(x, y, z) = ({p.x:g}, {p.y:g}, {p.z:g}) has z^2 - x^2 - y^2 = {disc:g} <= 0"
+            f"(x, y, z) = ({p.x:g}, {p.y:g}, {p.z:g}) has z^2 - x^2 - y^2 = "
+            f"{disc / unit / unit:g} <= 0"
         )
     root = math.sqrt(disc)
-    az = abs(p.z)
-    denom = math.sqrt((az + root) ** 2 - p.x * p.x - p.y * p.y)
-    sign = 1.0 if p.z > 0 else -1.0
+    az = abs(z)
+    denom = math.sqrt((az + root) ** 2 - x * x - y * y)
+    sign = 1.0 if z > 0 else -1.0
     u = -sign * (root + az) / denom
-    v = (p.x - 1j * p.y) / denom
-    return LorentzianEigenpair(u=complex(u), v=complex(v), E=sign * root)
+    v = (x - 1j * y) / denom
+    return LorentzianEigenpair(u=complex(u), v=complex(v), E=sign * root / unit)
 
 
 def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
@@ -180,11 +200,12 @@ def check_real_regime(path: SweepPath) -> None:
     """Raise OutsideRealRegime unless ``z^2 > x^2 + y^2`` all along the path.
 
     Exact: while ``z`` keeps its sign, ``|z| - hypot(x, y)`` is concave, so
-    smallest at an end; where ``z`` changes sign, ``z = 0`` is outside.
+    smallest at an end; where ``z`` changes sign, ``z = 0`` is outside.  Signs
+    and scaled discriminants keep it exact at every scale.
     """
     a, b = path.params_at(0.0), path.params_at(1.0)
-    crossing = a.z * b.z <= 0.0
-    if crossing or min(a.discriminant, b.discriminant) <= 0.0:
+    crossing = not (min(a.z, b.z) > 0.0 or max(a.z, b.z) < 0.0)
+    if crossing or min(a.scaled_discriminant, b.scaled_discriminant) <= 0.0:
         raise OutsideRealRegime(
             f"path from ({a.x:g}, {a.y:g}, {a.z:g}) to ({b.x:g}, {b.y:g}, {b.z:g}) leaves the "
             f"real-spectrum regime z^2 > x^2 + y^2{' where z changes sign' if crossing else ''}")
@@ -260,17 +281,6 @@ def _mul(pa, pb, qa, qb):
     return pa * qa + pb * qb.conj(), pa * qb + pb * qa.conj()
 
 
-def _generators(path: SweepPath, rate: float, s: np.ndarray):
-    """``-i*rate*h(s)`` at each s, the generator of psi' = -(i/hbar) h psi, as (a, b).
-
-    h(s) has the float operations of ``SweepPath.params_at``.
-    """
-    (x0, y0, z0), (x1, y1, z1) = path.start, path.end
-    a = (-1j * rate) * (z0 + (z1 - z0) * s)
-    b = (-1j * rate) * ((x0 + (x1 - x0) * s) + 1j * (y0 + (y1 - y0) * s))
-    return a, b
-
-
 def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int, k0: int, k1: int):
     """``D_k = M_k - I`` for steps ``k0 <= k < k1`` as (a, b), index k.
 
@@ -278,16 +288,29 @@ def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int, k0: int
     at ``s = k/steps``, ``(k + 1/2)/steps`` and ``(k + 1)/steps``, which is
     exact because h is affine in s.  Each stage is kept scaled by ``dt``.
     """
-    # k/steps at even entries, (k + 1/2)/steps at odd ones, with the same roundings
-    ga, gb = _generators(path, dt / hbar, np.arange(2 * k0, 2 * k1 + 1) / 2 / steps)
+    n = k1 - k0
+    # the generators and stages share one allocation, the largest of a chunk: glibc's malloc
+    # trims its heap only past twice the largest block it has unmapped, so the heap a chunk
+    # frees is kept for the next one, not returned to the system and faulted back in
+    work = np.empty(10 * n + 2, complex)
+    ga, gb = work[:4 * n + 2].reshape(2, 2 * n + 1)
+    a2, b2, a3, b3, a4, b4 = work[4 * n + 2:].reshape(6, n)
+    # -i*dt*h(s)/hbar, the generator of psi' = -(i/hbar) h psi, with the float operations of
+    # SweepPath.params_at: s = k/steps at even entries, (k + 1/2)/steps at odd ones
+    (x0, y0, z0), (x1, y1, z1) = path.start, path.end
+    s, rate = np.arange(2 * k0, 2 * k1 + 1) / 2 / steps, -1j * (dt / hbar)
+    np.multiply(rate, z0 + (z1 - z0) * s, out=ga)
+    np.multiply(1j, y0 + (y1 - y0) * s, out=gb)
+    np.add(x0 + (x1 - x0) * s, gb, out=gb)
+    np.multiply(rate, gb, out=gb)
     a0, am, a1 = ga[0:-1:2], ga[1::2], ga[2::2]
     b0, bm, b1 = gb[0:-1:2], gb[1::2], gb[2::2]
     pa, pb = _mul(am, bm, a0, b0)
-    a2, b2 = am + 0.5 * pa, bm + 0.5 * pb
+    np.add(am, 0.5 * pa, out=a2), np.add(bm, 0.5 * pb, out=b2)
     pa, pb = _mul(am, bm, a2, b2)
-    a3, b3 = am + 0.5 * pa, bm + 0.5 * pb
+    np.add(am, 0.5 * pa, out=a3), np.add(bm, 0.5 * pb, out=b3)
     pa, pb = _mul(a1, b1, a3, b3)
-    a4, b4 = a1 + pa, b1 + pb
+    np.add(a1, pa, out=a4), np.add(b1, pb, out=b4)
     return (a0 + 2.0 * (a2 + a3) + a4) / 6.0, (b0 + 2.0 * (b2 + b3) + b4) / 6.0
 
 
@@ -320,8 +343,7 @@ def _compose(a: np.ndarray, b: np.ndarray, cuts: np.ndarray):
     return a[:, 0], b[:, 0]
 
 
-def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
-                    require_real_spectrum: bool = True) -> ActionRecord:
+def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionRecord:
     """Integrate the coupled pair along ``h(path(t/T))`` and record the actions.
 
     The instantaneous eigenbasis at each sample comes from the closed forms,
@@ -342,16 +364,15 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
     Raises
     ------
     OutsideRealRegime
-        If the path leaves ``z^2 > x^2 + y^2`` anywhere, even by grazing,
-        while the invariant test is active (``require_real_spectrum=True``).
+        If the path leaves ``z^2 > x^2 + y^2`` anywhere, even by grazing: the
+        actions are the paper's invariants only there.
     StepTooLarge
         If ``dt_eff`` violates the stability guard anywhere along the path.
     NonFinite
         If the state overflows; reported at the first sample after it.
     """
     hbar = state0.hbar
-    if require_real_spectrum:
-        check_real_regime(path)
+    check_real_regime(path)
     steps = check_sweep_step(path, dt, hbar)
     dt_eff = path.T / steps
 
@@ -388,17 +409,8 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
 
         # the closed forms per sample, in the caller's scalar types: numpy's powers
         # round differently from Python's
-        uv, outside = [], []
-        for k in marks.tolist():
-            p = path.params_at(k / steps)
-            # without the invariant test, a breakdown of the closed forms is reported as NaN
-            outside.append(not require_real_spectrum and p.discriminant <= 0.0)
-            if outside[-1]:
-                uv.append((math.nan, math.nan))
-            else:
-                pair = lorentzian_uv(p)
-                uv.append((pair.u, pair.v))
-        u, v = np.array(uv, dtype=complex).T
+        pairs = [lorentzian_uv(path.params_at(k / steps)) for k in marks.tolist()]
+        u, v = np.array([(pair.u, pair.v) for pair in pairs], dtype=complex).T
         # LorentzianEigenpair's right and left vectors, one C-ordered 2x2 per sample:
         # the products then take the per-sample BLAS calls' roundings
         right = np.stack([u, v.conj(), v, u.conj()], axis=-1).reshape(-1, 2, 2)
@@ -407,7 +419,6 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float,
         c = left.conj().transpose(0, 2, 1) @ psi[..., None]
         cbar = phibar[:, None, :] @ right
         actions = hbar * cbar[:, 0] * c[..., 0]
-        actions[outside] = np.nan
         overlaps = np.sum(phibar * psi, axis=1)
 
     base = actions[0]

@@ -216,13 +216,48 @@ def test_run_config_returns_artifact_path(tmp_path):
     assert path.exists()
 
 
+def run_python(code, *argv, env=()):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path: (stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), **dict(env))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout, proc.stderr
+
+
 def test_evolve_does_not_import_numpy_random(tmp_path):
     # only verify without psi0 draws a state; every other run leaves numpy.random unloaded
     code = ("import sys; from biham.cli import main; "
             "assert main(sys.argv[1:]) == 0; print('numpy.random' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     config = FIXTURES / "evolve_phase_flip.json"
-    out = subprocess.run(
-        [sys.executable, "-c", code, "evolve", "--config", str(config), "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True).stdout
+    out, _ = run_python(code, "evolve", "--config", str(config), "--out", str(tmp_path))
     assert out == "False\n"
+
+
+def test_readme_quick_start_runs():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    assert run_python(blocks[0].split("```")[0]) == ("", "")
+
+
+def test_importing_the_package_loads_no_module():
+    code = "import sys, biham; print(sorted(m for m in sys.modules if m.startswith('biham.')))"
+    assert run_python(code) == ("[]\n", "")
+
+
+def test_successful_run_leaves_stderr_empty(tmp_path):
+    # stderr carries errors only, whatever the environment asks for
+    code = "import sys; from biham.cli import main; sys.exit(main(sys.argv[1:]))"
+    config = FIXTURES / "evolve_phase_flip.json"
+    assert run_python(code, "evolve", "--config", str(config), "--out", str(tmp_path),
+                      env={"BIHAM_LOG": "info"}) == ("", "")
+    assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_main_adds_no_handler_to_the_root_logger(tmp_path):
+    # main() runs in-process in other programs, whose logging it must leave alone
+    code = ("import logging, sys; from biham.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print(logging.getLogger().handlers)")
+    config = FIXTURES / "evolve_phase_flip.json"
+    out, _ = run_python(code, "evolve", "--config", str(config), "--out", str(tmp_path))
+    assert out == "[]\n"

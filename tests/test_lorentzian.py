@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -195,15 +197,12 @@ class TestSweep:
             sweep_adiabatic(path, st, dt=0.01)
 
     def test_regime_guard_can_be_disabled(self):
+        # it cannot: the actions are invariants only inside the regime, so every
+        # sweep that leaves it is refused before it steps
         path = SweepPath.linear((0.5, 0.0, 2.0), (1.1, 0.0, 1.0), T=5.0, samples=11)
         st = initial_sweep_state(path, [1.0, 0.0])
         with pytest.raises(OutsideRealRegime):
             sweep_adiabatic(path, st, dt=0.01)
-        # without the guard the integration proceeds; samples past the regime
-        # boundary report the closed-form breakdown as NaN actions
-        rec = sweep_adiabatic(path, st, dt=0.01, require_real_spectrum=False)
-        assert np.isfinite(rec.actions[0]).all()
-        assert np.isnan(rec.actions[-1]).all()
 
     def test_step_guard_along_path(self):
         path = SweepPath.linear((1.0, 0.0, 30.0), (1.0, 0.0, 40.0), T=10.0)
@@ -216,3 +215,79 @@ def test_params_regime_predicate():
     assert LorentzianParams(1, 0, 2).in_real_regime
     assert LorentzianParams(1, 0, 1).in_real_regime      # boundary: real (degenerate)
     assert not LorentzianParams(2, 0, 1).in_real_regime
+
+
+# ---------------------------------------------------------------------------
+# scale-free closed forms: scaled parameters at the ends of the float range,
+# the bits of the plain formulas at ordinary scales
+
+
+def test_regime_predicate_at_the_ends_of_the_float_range():
+    # z^2 overflows past |z| = 1.3e154 and underflows below |z| = 1e-162
+    for scale in (1e155, 1e300, 1e-170, 5e-324 * 2 ** 40):
+        assert LorentzianParams(scale, 0, 2 * scale).in_real_regime
+        assert LorentzianParams(scale, 0, scale).in_real_regime  # boundary
+        assert not LorentzianParams(2 * scale, 0, scale).in_real_regime
+
+
+def plain_uv(p):
+    """The closed forms on the unscaled parameters: (u, v, E)."""
+    disc = p.z * p.z - p.x * p.x - p.y * p.y
+    root = math.sqrt(disc)
+    az = abs(p.z)
+    denom = math.sqrt((az + root) ** 2 - p.x * p.x - p.y * p.y)
+    sign = 1.0 if p.z > 0 else -1.0
+    return complex(-sign * (root + az) / denom), complex((p.x - 1j * p.y) / denom), sign * root
+
+
+def uv_bits(u, v, E):
+    return np.array([u, v], dtype=complex).tobytes() + np.float64(E).tobytes()
+
+
+def test_closed_forms_keep_the_plain_bits_at_ordinary_scales():
+    rng = np.random.default_rng(17)
+    for k in range(3000):
+        z = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-100.0, 100.0))
+        # a third of the draws lie close to the exceptional surface
+        ratio = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if k % 3 == 0 else rng.uniform(0.0, 1.0)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        x, y = float(abs(z) * ratio * np.cos(angle)), float(abs(z) * ratio * np.sin(angle))
+        if k % 7 == 0:  # on the z axis, with signed zeros
+            x, y = float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0]))
+        p = LorentzianParams(x, y, z)
+        pair = lorentzian_uv(p)
+        assert uv_bits(pair.u, pair.v, pair.E) == uv_bits(*plain_uv(p))
+
+
+@pytest.mark.parametrize("power", [512, 1000, -560, -1000])
+def test_closed_forms_scaled_by_a_power_of_two(power):
+    # (u, v) do not depend on the scale, and E scales with it, where the plain
+    # formulas overflow or underflow
+    unit = math.ldexp(1.0, power)
+    p = LorentzianParams(0.4, -0.3, 0.9)
+    want, got = lorentzian_uv(p), lorentzian_uv(LorentzianParams(0.4 * unit, -0.3 * unit,
+                                                                 0.9 * unit))
+    assert uv_bits(got.u, got.v, got.E) == uv_bits(want.u, want.v, want.E * unit)
+    with pytest.raises(OutsideRealRegime):
+        lorentzian_uv(LorentzianParams(0.9 * unit, -0.3 * unit, 0.4 * unit))
+
+
+@pytest.mark.parametrize("power", [512, -560])
+def test_sweep_scaled_by_a_power_of_two_scales_only_the_actions(power):
+    # h / hbar is unchanged, so the state steps with the same bits; the actions
+    # hbar * cbar * c scale with hbar (the deviations switch to absolute below
+    # ABSENT_MODE_CUTOFF, which is not scale-free, so they are not compared);
+    # z in [0.5, 1) is the largest magnitude all along, so both scales evaluate
+    # the closed forms on the same numbers
+    unit = math.ldexp(1.0, power)
+    start, end = (0.4, -0.3, 0.9), (0.1, 0.2, 0.6)
+    records = []
+    for scale in (1.0, unit):
+        path = SweepPath.linear(tuple(c * scale for c in start), tuple(c * scale for c in end),
+                                T=5.0, samples=11)
+        records.append(sweep_adiabatic(path, initial_sweep_state(path, [1.0, 0.4], 0.8 * scale),
+                                       dt=0.01))
+    want, got = records
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.overlaps.tobytes() == want.overlaps.tobytes()
+    assert got.actions.tobytes() == (want.actions * unit).tobytes()

@@ -323,6 +323,33 @@ def test_grazing_sweep_both_routes(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# sweeps at the ends of the float range, where z^2 overflows or underflows:
+# the regime test compares the signs of z and takes the discriminants scaled
+
+
+def extreme_sweep(start, end, hbar):
+    cfg = sweep_config(start, end, T=1.0)
+    cfg["params"]["hbar"] = hbar
+    return cfg
+
+
+def test_grazing_sweep_at_a_huge_scale_both_routes(tmp_path, capfd):
+    # starts on the exceptional surface, where z^2 - x^2 overflows to nan
+    cfg = extreme_sweep((1e155, 0.0, 1e155), (0.0, 0.0, 5e154), hbar=1e300)
+    assert_refused(tmp_path, cfg, capfd, 2, 3, "outside_real_regime", "params.path")
+
+
+@pytest.mark.parametrize("start, end, hbar", [
+    ((5e154, 0.0, 1e155), (0.0, 0.0, 5e154), 1e300),
+    ((5e-170, 0.0, 1e-169), (0.0, 0.0, 2e-169), 1.0),   # z0 * z1 underflows to 0
+], ids=["huge", "tiny"])
+def test_sweep_inside_the_regime_at_extreme_scales_both_routes(tmp_path, capfd, start, end,
+                                                               hbar):
+    assert both_routes(tmp_path, extreme_sweep(start, end, hbar), capfd) == (0, [], 0, [])
+    rows = np.loadtxt(tmp_path / "out" / "sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (101, 7) and np.isfinite(rows).all()
+
+
 
 # ---------------------------------------------------------------------------
 # resource caps: recorded rows (evolve, continuum) and continuum grid points
