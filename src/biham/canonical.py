@@ -134,23 +134,39 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
     return worst / scale
 
 
+def state_checks(h, state: StatePair, fd_step: float = FD_STEP):
+    """The report's fields that need no eigensystem: ``(hamiltonian_value,
+    rhs_mismatch, grad_mismatch)``.
+
+    An hbar below ~1e-308, or h and the state near the float maximum, overflow
+    here: ``modal_report`` then refuses the report.  numpy's error state is
+    per thread, so this sets its own wherever it runs.
+    """
+    h = as_square_matrix(h)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (hamiltonian_value(h, state), rhs_mismatch(h, state),
+                gradient_fd_mismatch(h, state, step=fd_step))
+
+
+def modal_report(system: BiorthogonalSystem, state: StatePair, checks) -> CanonicalReport:
+    """The report of ``state_checks``' fields and the modal value over ``system``.
+
+    Raises NonFinite, rather than report inf or nan, if a field leaves the float range.
+    """
+    value, rhs, grad = checks
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        modal = modal_hamiltonian(system, ModalCoordinates.from_state(system, state))
+    report = CanonicalReport(hamiltonian_value=value, modal_value=modal,
+                             rhs_mismatch=rhs, grad_mismatch=grad)
+    if not np.all(np.isfinite([value, modal, rhs, grad])):
+        raise NonFinite("the canonical report leaves the float range")
+    return report
+
+
 def canonical_report(h, state: StatePair, system: BiorthogonalSystem = None,
                      fd_step: float = FD_STEP) -> CanonicalReport:
     """Build the full consistency report for one (generator, state) pair."""
     h = as_square_matrix(h)
     if system is None:
         system = biorthogonal_decompose(h)
-    # an hbar below ~1e-308, or h and the state near the float maximum, overflow
-    # here: such a report is refused, not written with inf or nan in it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        modal = ModalCoordinates.from_state(system, state)
-        report = CanonicalReport(
-            hamiltonian_value=hamiltonian_value(h, state),
-            modal_value=modal_hamiltonian(system, modal),
-            rhs_mismatch=rhs_mismatch(h, state),
-            grad_mismatch=gradient_fd_mismatch(h, state, step=fd_step),
-        )
-    if not np.all(np.isfinite([report.hamiltonian_value, report.modal_value,
-                               report.rhs_mismatch, report.grad_mismatch])):
-        raise NonFinite("the canonical report leaves the float range")
-    return report
+    return modal_report(system, state, state_checks(h, state, fd_step))

@@ -4,14 +4,16 @@ Usage: ``biham <command> --config <file> --out <dir> [--seed N] [--validate-only
 with commands decompose, evolve, verify, sweep, continuum.  Configs are JSON
 documents ``{"command": ..., "params": {...}, "output": ..., "seed": ...}``;
 unknown fields are rejected.  Artifacts (CSV time series, JSON reports) are
-written atomically and are byte-identical across runs for a fixed config and
-seed.  Exit codes: 0 ok, 2 config error, 3 compute error, 4 io error.
+written atomically and are byte-identical across runs for a fixed config,
+seed and BLAS thread count.  Exit codes: 0 ok, 2 config error, 3 compute
+error, 4 io error.
 """
 
 import argparse
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -392,10 +394,12 @@ def _finite_table(table, placeholder=None):
 
 
 def _initial_state(system, inputs, params, seed):
+    """The state pair of a config; ``system`` is read only if phibar0 is not given."""
     psi0, phibar0 = inputs.get("psi0"), inputs.get("phibar0")
     if psi0 is None:  # numpy.random is imported only here
+        n = inputs["h"].shape[0]
         rng = np.random.default_rng(seed)
-        psi0 = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
+        psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi0 /= np.linalg.norm(psi0)
     if phibar0 is None:
         csq = np.asarray(params["csq"], dtype=float) if "csq" in params \
@@ -404,16 +408,48 @@ def _initial_state(system, inputs, params, seed):
     return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=params.get("hbar", 1.0))
 
 
+def _beside(main, side):
+    """``(main(), side())``, with ``side`` run on a second thread while ``main`` runs here.
+
+    numpy releases the GIL inside LAPACK and matmul, so the two run at once.
+    Both have ended when this returns or raises.  ``main`` holds the work that
+    comes first in the sequential order, so its exception wins over ``side``'s.
+    """
+    outcome = []
+
+    def run_side():
+        try:
+            outcome.append((side(), None))
+        except BaseException as exc:  # raised below, never printed by threading.excepthook
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=run_side)
+    thread.start()
+    try:
+        first = main()
+    finally:
+        thread.join()
+    value, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return first, value
+
+
 def _run_decompose(inputs, params, seed):
     system = spectral.biorthogonal_decompose(inputs["h"],
                                              tol=params.get("tol", spectral.DEFAULT_TOL))
+    # the SVD of the eigenvector matrix runs beside the two residual products
+    (biorthonormality, completeness), cond = _beside(
+        lambda: (spectral.biorthonormality_residual(system),
+                 spectral.completeness_residual(system)),
+        lambda: system.cond)
     report = {
         "n": system.n,
         "eigenvalues_re": system.eigenvalues.real.tolist(),
         "eigenvalues_im": system.eigenvalues.imag.tolist(),
-        "biorthonormality_residual": spectral.biorthonormality_residual(system),
-        "completeness_residual": spectral.completeness_residual(system),
-        "condition_number": system.cond,
+        "biorthonormality_residual": biorthonormality,
+        "completeness_residual": completeness,
+        "condition_number": cond,
         "spectrum_is_real": spectral.spectrum_is_real(system),
     }
     return report
@@ -448,10 +484,17 @@ def _run_evolve(inputs, params, seed):
 
 def _run_verify(inputs, params, seed):
     h = inputs["h"]
-    system = spectral.biorthogonal_decompose(h)
-    state = _initial_state(system, inputs, params, seed)
-    report = canonical.canonical_report(
-        h, state, system=system, fd_step=params.get("fd_step", canonical.FD_STEP))
+    fd_step = params.get("fd_step", canonical.FD_STEP)
+    if "phibar0" in inputs:
+        # the state needs no eigensystem, so its checks run beside the decomposition
+        state = _initial_state(None, inputs, params, seed)
+        system, checks = _beside(lambda: spectral.biorthogonal_decompose(h),
+                                 lambda: canonical.state_checks(h, state, fd_step))
+    else:  # phibar0 is built from the eigensystem
+        system = spectral.biorthogonal_decompose(h)
+        state = _initial_state(system, inputs, params, seed)
+        checks = canonical.state_checks(h, state, fd_step)
+    report = canonical.modal_report(system, state, checks)
     payload = {
         "n": h.shape[0],
         "hamiltonian_value_re": report.hamiltonian_value.real,

@@ -232,7 +232,8 @@ class ActionRecord:
     """Per-mode action invariants I_j(t) = hbar*cbar_j(t)*c_j(t) along a sweep.
 
     ``deviations[k, j]`` is ``|I_j(t_k) - I_j(0)| / |I_j(0)|`` for occupied
-    modes and the absolute deviation for modes starting at zero action.
+    modes and the absolute deviation for absent ones: those with
+    ``|I_j(0)| <= ABSENT_MODE_CUTOFF * (|I_1(0)| + |I_2(0)|)``, zero action included.
     ``overlaps`` carries the conserved <phibar|psi> at the sample times.
     """
 
@@ -422,9 +423,12 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
         overlaps = np.sum(phibar * psi, axis=1)
 
     base = actions[0]
+    # a mode is absent relative to the total action, so the verdict is scale free;
+    # the cutoff scales each term, so the sum cannot overflow
+    absent = np.sum(ABSENT_MODE_CUTOFF * np.abs(base))
     deviations = np.empty_like(actions, dtype=float)
     for j in range(actions.shape[1]):
         gap = np.abs(actions[:, j] - base[j])
-        deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > ABSENT_MODE_CUTOFF else gap
+        deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > absent else gap
     return ActionRecord(times=marks * dt_eff, actions=actions, deviations=deviations,
                         overlaps=overlaps)

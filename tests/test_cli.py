@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from biham import canonical, io, spectral
 from biham.cli import COMMANDS, build_parser, load_config, main, run_config, validate_config
+from biham.dynamics import StatePair
+from biham.errors import NonFinite, NotDiagonalizable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -261,3 +266,136 @@ def test_main_adds_no_handler_to_the_root_logger(tmp_path):
     config = FIXTURES / "evolve_phase_flip.json"
     out, _ = run_python(code, "evolve", "--config", str(config), "--out", str(tmp_path))
     assert out == "[]\n"
+
+
+# decompose runs cond(S) beside its residuals, and verify with phibar0 its state
+# checks beside the decomposition: the same artifacts and errors as one thread
+
+def verify_with_phibar0(**params):
+    cfg = load_config(FIXTURES / "verify_random.json")
+    cfg["params"]["phibar0"] = {"re": [0.3, -0.5, 0.8], "im": [0.1, 0.2, -0.4]}
+    cfg["params"].update(params)
+    return cfg
+
+
+def run_refused(tmp_path, capsys, cfg):
+    """Run ``cfg`` through ``main``: (exit code, error code of its one stderr line)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    before = threading.active_count()
+    code = run_cli(cfg["command"], path, tmp_path / "out")
+    out, err = capsys.readouterr()
+    assert threading.active_count() == before
+    assert out == "" and len(err.strip().split("\n")) == 1
+    assert not (tmp_path / "out").exists()
+    return code, json.loads(err)["error"]
+
+
+def raiser(error):
+    def fail(*args):
+        raise error("injected")
+    return fail
+
+
+@pytest.mark.parametrize("cfg", [
+    # the decomposition fails first on one thread; the FD check overflows on the other
+    verify_with_phibar0(matrix={"n": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]},
+                        psi0={"re": [1.0, 0.5], "im": [0.0, 0.0]},
+                        phibar0={"re": [0.5, 1.0], "im": [0.0, 0.0]}, fd_step=5e-324),
+    verify_with_phibar0(matrix={"n": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]},
+                        phibar0={"re": [0.5, 1.0], "im": [0.0, 0.0]}),
+], ids=["both_fail", "decomposition_fails"])
+def test_verify_ends_with_the_decomposition_error(tmp_path, capsys, cfg):
+    assert run_refused(tmp_path, capsys, cfg) == (3, "not_diagonalizable")
+
+
+@pytest.mark.parametrize("cfg", [verify_with_phibar0(fd_step=5e-324),
+                                 verify_with_phibar0(hbar=5e-324)],
+                         ids=["fd_step", "hbar"])
+def test_verify_state_check_overflow_beside_the_decomposition(tmp_path, capsys, cfg):
+    # fd_step raises NonFinite on the helper thread; hbar gives an inf field there,
+    # which the report refuses after the join
+    assert run_refused(tmp_path, capsys, cfg) == (3, "non_finite")
+
+
+@pytest.mark.parametrize("residual, cond, error", [
+    (NotDiagonalizable, None, "not_diagonalizable"),
+    (None, NonFinite, "non_finite"),
+    (NotDiagonalizable, NonFinite, "not_diagonalizable"),  # the residuals come first
+], ids=["main", "helper", "both"])
+def test_decompose_error_in_either_thread(tmp_path, capsys, monkeypatch, residual, cond,
+                                          error):
+    if residual is not None:
+        monkeypatch.setattr(spectral, "completeness_residual", raiser(residual))
+    if cond is not None:
+        monkeypatch.setattr(spectral.BiorthogonalSystem, "cond", property(raiser(cond)))
+    cfg = load_config(FIXTURES / "decompose_upper.json")
+    assert run_refused(tmp_path, capsys, cfg) == (3, error)
+
+
+def test_decompose_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypatch):
+    # the residuals fail at once, while the SVD on the helper is still running
+    done = []
+
+    def slow_cond(system):
+        time.sleep(0.2)
+        done.append(True)
+        return 1.0
+
+    monkeypatch.setattr(spectral, "completeness_residual", raiser(NotDiagonalizable))
+    monkeypatch.setattr(spectral.BiorthogonalSystem, "cond", property(slow_cond))
+    cfg = load_config(FIXTURES / "decompose_upper.json")
+    assert run_refused(tmp_path, capsys, cfg) == (3, "not_diagonalizable")
+    assert done == [True]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("decompose", load_config(FIXTURES / "decompose_upper.json")),
+    ("verify", verify_with_phibar0()),
+    ("verify", load_config(FIXTURES / "verify_random.json")),
+], ids=["decompose", "verify_phibar0", "verify"])
+def test_successful_run_leaves_no_thread(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    before = threading.active_count()
+    assert run_cli(command, path, tmp_path) == 0
+    assert threading.active_count() == before
+    assert capsys.readouterr() == ("", "")
+
+
+def random_verify_config(n):
+    rng = np.random.default_rng(64)
+    h, psi0, phibar0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                        for shape in ((n, n), n, n))
+    re_im = lambda a: {"re": a.real.tolist(), "im": a.imag.tolist()}  # noqa: E731
+    return {"command": "verify", "output": "canonical.json",
+            "params": {"matrix": {"n": n, **re_im(h)}, "hbar": 0.7,
+                       "psi0": re_im(psi0), "phibar0": re_im(phibar0)}}
+
+
+@pytest.mark.parametrize("cfg", [verify_with_phibar0(), random_verify_config(64)],
+                         ids=["n3", "n64"])
+def test_verify_report_has_the_bits_of_canonical_report(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("verify", path, tmp_path) == 0
+    got = json.loads((tmp_path / "canonical.json").read_text())
+    params = cfg["params"]
+    h = io.matrix_from_json(params["matrix"])
+    n = h.shape[0]
+    if "psi0" in params:
+        psi0 = io.vector_from_json(params["psi0"], n)
+    else:  # the state the CLI draws from the config's seed
+        rng = np.random.default_rng(cfg["seed"])
+        psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi0 /= np.linalg.norm(psi0)
+    state = StatePair(psi=psi0,
+                      phibar=io.vector_from_json(params["phibar0"], n),
+                      hbar=params.get("hbar", 1.0))
+    report = canonical.canonical_report(h, state)
+    want = [report.hamiltonian_value.real, report.hamiltonian_value.imag,
+            report.modal_value.real, report.modal_value.imag,
+            report.rhs_mismatch, report.grad_mismatch]
+    keys = ["hamiltonian_value_re", "hamiltonian_value_im", "modal_value_re",
+            "modal_value_im", "rhs_mismatch", "grad_mismatch"]
+    assert np.array([got[k] for k in keys]).tobytes() == np.array(want).tobytes()

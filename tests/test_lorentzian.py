@@ -275,8 +275,7 @@ def test_closed_forms_scaled_by_a_power_of_two(power):
 @pytest.mark.parametrize("power", [512, -560])
 def test_sweep_scaled_by_a_power_of_two_scales_only_the_actions(power):
     # h / hbar is unchanged, so the state steps with the same bits; the actions
-    # hbar * cbar * c scale with hbar (the deviations switch to absolute below
-    # ABSENT_MODE_CUTOFF, which is not scale-free, so they are not compared);
+    # hbar * cbar * c scale with hbar, and the deviations, relative to them, do not;
     # z in [0.5, 1) is the largest magnitude all along, so both scales evaluate
     # the closed forms on the same numbers
     unit = math.ldexp(1.0, power)
@@ -291,3 +290,14 @@ def test_sweep_scaled_by_a_power_of_two_scales_only_the_actions(power):
     assert got.times.tobytes() == want.times.tobytes()
     assert got.overlaps.tobytes() == want.overlaps.tobytes()
     assert got.actions.tobytes() == (want.actions * unit).tobytes()
+    assert got.deviations.tobytes() == want.deviations.tobytes()
+
+
+def test_sweep_deviations_do_not_depend_on_the_scale_of_csq():
+    # a mode is absent relative to the total action: csq of 1e-13 and 3e-14 gave
+    # absolute deviations of 4.7e-17, as if the sweep were perfectly adiabatic
+    path = SweepPath.linear((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=100.0, samples=201)
+    want, got = (sweep_adiabatic(path, initial_sweep_state(path, csq), dt=0.0025).deviations
+                 for csq in ([1.0, 0.3], [1e-13, 3e-14]))
+    assert np.min(want[1:]) > 1e-5
+    assert_allclose(got, want, rtol=1e-9, atol=0)

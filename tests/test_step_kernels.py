@@ -363,7 +363,8 @@ def stagewise_sweep(path, state0, dt, tolerant=False):
 
     actions = np.asarray(actions)
     base = actions[0]
-    scale = np.where(np.abs(base) > ABSENT_MODE_CUTOFF, np.abs(base), 1.0)
+    absent = np.sum(ABSENT_MODE_CUTOFF * np.abs(base))  # relative to the total action
+    scale = np.where(np.abs(base) > absent, np.abs(base), 1.0)
     return np.asarray(times), actions, np.abs(actions - base) / scale, np.asarray(overlaps)
 
 
@@ -557,7 +558,8 @@ def two_field_sweep(path, state0, dt):
                     next_mark += 1
         actions = np.asarray(actions)
         base = actions[0]
-        scale = np.where(np.abs(base) > ABSENT_MODE_CUTOFF, np.abs(base), 1.0)
+        absent = np.sum(ABSENT_MODE_CUTOFF * np.abs(base))  # relative to the total action
+        scale = np.where(np.abs(base) > absent, np.abs(base), 1.0)
         deviations = np.abs(actions - base) / scale
     return np.asarray(times), actions, deviations, np.asarray(overlaps)
 

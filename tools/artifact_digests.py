@@ -7,7 +7,9 @@
 Runs ``biham.cli.main`` from ``--src`` (default: this tree's ``src``) on the
 five configs in ``tests/fixtures`` and on every config that
 ``benchmarks/workloads.py`` generates for each seed and workload, one process
-per config and route with one BLAS thread.  It prints one JSON object: per
+per config and route with ``--blas-threads`` BLAS threads (default 1).  The
+artifacts' bits depend on that count, so compare outputs made with the same
+one.  It prints one JSON object: per
 config, the exit code and the SHA-256 of the artifact (``null`` when none is
 written), of stdout and of stderr, and under ``validate`` the exit code and
 the SHA-256 of stdout and stderr of the same config run with
@@ -43,13 +45,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(src: Path, command: str, config: Path, output: str) -> dict:
+def digest(src: Path, command: str, config: Path, output: str, blas_threads: int) -> dict:
     """Exit codes and SHA-256s of the run and the ``--validate-only`` run of ``config``.
 
     Each run writes to a fresh output directory.
     """
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    threads = str(blas_threads)
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
 
     def run(out, *flags):
         return subprocess.run(
@@ -76,20 +79,23 @@ def main(argv=None) -> int:
                         help="workload seeds to generate configs for (default: 0)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the biham package to run")
+    parser.add_argument("--blas-threads", type=int, default=1, choices=range(1, 9),
+                        metavar="N", help="BLAS/OpenMP threads of each run, 1 to 8 (default: 1)")
     args = parser.parse_args(argv)
     workloads = load_workloads()
     result = {}
     for path in sorted(FIXTURES.glob("*.json")):
         config = json.loads(path.read_text())
         result[f"fixture/{path.name}"] = digest(
-            args.src.resolve(), config["command"], path, config["output"])
+            args.src.resolve(), config["command"], path, config["output"], args.blas_threads)
     with tempfile.TemporaryDirectory() as configs:
         for seed in args.seeds:
             for workload in workloads.WORKLOADS + workloads.EXTRA_WORKLOADS:
                 for scenario in workloads.generate(workload, seed, root=ROOT):
                     path = scenario.write(configs)
                     result[f"{workload}/{seed}/{scenario.id}"] = digest(
-                        args.src.resolve(), scenario.command, path, scenario.config["output"])
+                        args.src.resolve(), scenario.command, path, scenario.config["output"],
+                        args.blas_threads)
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 
