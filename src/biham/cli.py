@@ -271,12 +271,22 @@ def _horizon_steps(params) -> int:
     return steps
 
 
-def _check_rows(steps: int, every: int) -> None:
-    """ConfigError if ``steps`` steps recorded every ``every`` make more than MAX_RECORDS rows."""
+def _check_rows(steps: int, every: int, n: int, columns: int) -> None:
+    """ConfigError if ``steps`` steps recorded every ``every`` make more than a run may hold.
+
+    A row holds ``2 n`` complex entries, psi and phibar, and ``columns`` CSV cells:
+    rows, entries and cells are each capped, so the memory of a run is bounded.
+    """
     rows = -(-steps // every) + 1  # every multiple of ``every``, the start and the last step
     if rows > dynamics.MAX_RECORDS:
         raise ConfigError(f"{steps} steps recorded every {every} make {rows} rows, above the "
                           f"limit of {dynamics.MAX_RECORDS}")
+    for width, what, limit in ((2 * n, "recorded complex entries", dynamics.MAX_RECORD_ENTRIES),
+                               (columns, "CSV cells", io.MAX_CSV_CELLS)):
+        if rows * width > limit:
+            raise ConfigError(f"{steps} steps recorded every {every} make {rows} rows of "
+                              f"{width} {what}, {rows * width} in all, above the limit of "
+                              f"{limit}")
 
 
 def _preflight(cfg: dict):
@@ -365,8 +375,10 @@ def _preflight(cfg: dict):
         check("params.dt", dynamics.check_step, h, params["dt"], config.hbar)
 
     if inputs.get("steps") is not None:  # evolve and continuum
+        n = inputs["h"].shape[0]
         check("params.snapshot_every", _check_rows, inputs["steps"],
-              params.get("snapshot_every", 1))
+              params.get("snapshot_every", 1), n,
+              len(_evolve_header(n)) if command == "evolve" else len(CONTINUUM_HEADER))
     return problems, inputs
 
 
@@ -455,31 +467,42 @@ def _run_decompose(inputs, params, seed):
     return report
 
 
+def _evolve_header(n: int) -> list:
+    return ["t", *(f"{field}{k}_{part}" for field in ("psi", "phibar")
+                   for k in range(n) for part in ("re", "im")),
+            "overlap_re", "overlap_im", "right_norm"]
+
+
+def _right_norms(psi):
+    """``<psi|psi>`` of each row, each with the bits of ``np.vdot`` on that row."""
+    norm = np.empty(len(psi))
+    for row, p in enumerate(psi):
+        norm[row] = np.vdot(p, p).real
+    return norm
+
+
 def _run_evolve(inputs, params, seed):
     # the preflight decomposed h and built state0; for exact it checked the last record
     h, state0, steps = inputs["h"], inputs["state0"], inputs["steps"]
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
     if params["method"] == "rk4":
-        snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
+        traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
+        t, psi, phibar = traj.t, traj.psi, traj.phibar
     else:
-        marks = list(range(0, steps + 1, every))
-        if marks[-1] != steps:
-            marks.append(steps)
-        snaps = [dynamics.evolve_exact(inputs["system"], state0, k * dt) for k in marks]
-    n = h.shape[0]
-    header = ["t", *(f"{field}{k}_{part}" for field in ("psi", "phibar")
-                     for k in range(n) for part in ("re", "im")),
-              "overlap_re", "overlap_im", "right_norm"]
-    psi = np.array([s.psi for s in snaps])
-    phibar = np.array([s.phibar for s in snaps])
+        marks = [*range(0, steps, every), steps]
+        t = np.empty(len(marks))
+        psi = np.empty((len(marks), h.shape[0]), dtype=complex)
+        phibar = np.empty_like(psi)
+        for row, k in enumerate(marks):
+            s = dynamics.evolve_exact(inputs["system"], state0, k * dt)
+            t[row], psi[row], phibar[row] = s.t, s.psi, s.phibar
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         overlap = np.sum(phibar * psi, axis=1)
-        norm = [np.vdot(p, p).real for p in psi]
+        norm = _right_norms(psi)
     # a complex row viewed as floats is re, im per component: the header's order
-    return header, _finite_table(np.column_stack(
-        [[s.t for s in snaps], psi.view(float), phibar.view(float),
-         overlap.real, overlap.imag, norm]))
+    return _evolve_header(h.shape[0]), _finite_table(np.column_stack(
+        [t, psi.view(float), phibar.view(float), overlap.real, overlap.imag, norm]))
 
 
 def _run_verify(inputs, params, seed):
@@ -555,28 +578,32 @@ def _continuum_setup(params, tables):
     return config, V, psi0
 
 
+CONTINUUM_HEADER = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
+
+
 def _run_continuum(inputs, params, seed):
     config, V, psi0 = inputs["lattice"]
-    h = inputs["h"]
-    field0 = continuum.initial_lattice_state(config, V, psi0, h=h)
-    snaps = continuum.evolve_lattice(config, field0, params["dt"], inputs["steps"],
-                                     record_every=params.get("snapshot_every", 1), h=h)
-    header = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
+    h, steps, dt = inputs["h"], inputs["steps"], params["dt"]
+    every = params.get("snapshot_every", 1)
+    # the step maps need no eigenvector, so they are built beside the eigenbasis
+    field0, maps = _beside(
+        lambda: continuum.initial_lattice_state(config, V, psi0, h=h),
+        lambda: dynamics._step_maps(h, dt, config.hbar, steps, every))
+    snaps = continuum.evolve_lattice(config, field0, dt, steps, record_every=every, h=h,
+                                     _maps=maps)
     # the time stencil of a row needs equal gaps: not the end rows, nor the
     # row before a shorter last interval when snapshot_every does not divide steps
-    uneven = inputs["steps"] % params.get("snapshot_every", 1) != 0
-    last = len(snaps) - 2 if uneven else len(snaps) - 1
+    last = len(snaps) - 2 if steps % every != 0 else len(snaps) - 1
     resid = np.full(len(snaps), np.nan)  # NaN placeholders outside 0 < k < last
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
-        q = np.sum(np.array([s.phibar for s in snaps]) * np.array([s.psi for s in snaps]),
-                   axis=1) * config.dx
+        q = np.sum(snaps.phibar * snaps.psi, axis=1) * config.dx
         if last > 1:
             resid[1:last] = continuum.continuity_residuals(snaps[:last + 1], config)
-        norm = [np.vdot(s.psi, s.psi).real * config.dx for s in snaps]
-    table = np.column_stack([[s.t for s in snaps], q.real, q.imag, resid, norm])
+        norm = _right_norms(snaps.psi) * config.dx
+    table = np.column_stack([snaps.t, q.real, q.imag, resid, norm])
     placeholder = np.zeros(table.shape, dtype=bool)
     placeholder[[0, *range(last, len(snaps))], 3] = True
-    return header, _finite_table(table, placeholder)
+    return CONTINUUM_HEADER, _finite_table(table, placeholder)
 
 
 _RUNNERS = {

@@ -85,6 +85,16 @@ class LatticeField:
         return self.phibar * self.psi
 
 
+@dataclass(frozen=True, eq=False)
+class LatticeTrajectory(dynamics.Trajectory):
+    """Recorded lattice fields, stacked; item ``k`` is a :class:`LatticeField` view of row ``k``."""
+
+    V: np.ndarray = None
+
+    def _record(self, psi, phibar, t):
+        return LatticeField(psi=psi, phibar=phibar, V=self.V, t=t)
+
+
 def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
     """Periodic second-order central first derivative along the last axis."""
     return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
@@ -134,6 +144,11 @@ def lattice_current(field: LatticeField, config: ContinuumConfig) -> np.ndarray:
     return _current(field.psi, field.phibar, config)
 
 
+# entries per stacked array of one pass of continuity_residuals: its temporaries
+# stay at a few MB, whatever the size of the records it reads
+_RESIDUAL_BLOCK = 2 ** 18
+
+
 def continuity_residuals(snapshots, config: ContinuumConfig) -> np.ndarray:
     """Worst site violation of the discrete continuity equation at each interior snapshot.
 
@@ -142,31 +157,43 @@ def continuity_residuals(snapshots, config: ContinuumConfig) -> np.ndarray:
     current orientation of :func:`lattice_current`, so the residual measured
     here is ``|d(rho)/dt - div j|``.  Entry ``k - 1`` is snapshot ``k``'s,
     with the time step ``t[k] - t[k-1]``: the value that the three snapshots
-    around it give alone.
+    around it give alone.  A :class:`~biham.dynamics.Trajectory` is read in
+    place; other snapshots are stacked first.  Rows are taken in blocks, each
+    with the bits of the whole stacked pass.
 
     Raises
     ------
     InsufficientSnapshots
         If fewer than three snapshots are supplied.
     """
-    snapshots = list(snapshots)
-    if len(snapshots) < 3:
+    if isinstance(snapshots, dynamics.Trajectory):
+        times, psi, phibar = snapshots.t, snapshots.psi, snapshots.phibar
+    else:
+        snapshots = list(snapshots)
+        times = np.array([s.t for s in snapshots])
+        psi = np.array([s.psi for s in snapshots])
+        phibar = np.array([s.phibar for s in snapshots])
+    if len(times) < 3:
         raise InsufficientSnapshots(
-            f"need at least 3 equally spaced snapshots, got {len(snapshots)}"
+            f"need at least 3 equally spaced snapshots, got {len(times)}"
         )
-    times = np.array([s.t for s in snapshots])
     gaps = np.diff(times)
     if not np.allclose(gaps, gaps[0], rtol=1e-8, atol=1e-12):
         raise ValueError("snapshots must be equally spaced in time")
     if gaps[0] <= 0:
         raise ValueError("snapshots must be strictly time-ordered")
 
-    psi = np.array([s.psi for s in snapshots])
-    phibar = np.array([s.phibar for s in snapshots])
-    rho = phibar * psi
-    drho_dt = (rho[2:] - rho[:-2]) / (2.0 * gaps[:-1, None])
-    div_j = _gradient(_current(psi[1:-1], phibar[1:-1], config), config.dx)
-    return np.max(np.abs(drho_dt - div_j), axis=1)  # np.max, unlike max, keeps a nan
+    out = np.empty(len(times) - 2)
+    rows = max(1, _RESIDUAL_BLOCK // psi.shape[1])
+    for lo in range(0, len(out), rows):
+        hi = min(lo + rows, len(out))
+        # entries lo..hi-1 are snapshots lo+1..hi, whose windows span lo..hi+1
+        rho = phibar[lo:hi + 2] * psi[lo:hi + 2]
+        drho_dt = (rho[2:] - rho[:-2]) / (2.0 * gaps[lo:hi, None])
+        div_j = _gradient(_current(psi[lo + 1:hi + 1], phibar[lo + 1:hi + 1], config),
+                          config.dx)
+        out[lo:hi] = np.max(np.abs(drho_dt - div_j), axis=1)  # np.max keeps a nan
+    return out
 
 
 def continuity_residual(snapshots, config: ContinuumConfig) -> float:
@@ -234,14 +261,17 @@ def initial_lattice_state(config: ContinuumConfig, V, psi0, h=None) -> LatticeFi
 
 
 def evolve_lattice(config: ContinuumConfig, field0: LatticeField, dt: float,
-                   steps: int, record_every: int = 1, h=None) -> list:
-    """RK4-evolve a lattice field; returns LatticeField snapshots.
+                   steps: int, record_every: int = 1, h=None, *,
+                   _maps=None) -> LatticeTrajectory:
+    """RK4-evolve a lattice field; returns the recorded fields, stacked.
 
-    ``h``, if given, is ``discretize(config, field0.V)`` already built.
+    ``h``, if given, is ``discretize(config, field0.V)`` already built, and
+    ``_maps`` the step maps of :func:`biham.dynamics.rk4_trajectory`.
     """
     if h is None:
         h = discretize(config, field0.V)
     state0 = dynamics.StatePair(psi=field0.psi, phibar=field0.phibar,
                                 t=field0.t, hbar=config.hbar)
-    traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=record_every)
-    return [LatticeField(psi=s.psi, phibar=s.phibar, V=field0.V, t=s.t) for s in traj]
+    traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=record_every,
+                                   _maps=_maps)
+    return LatticeTrajectory(traj.t, traj.psi, traj.phibar, traj.hbar, V=field0.V)

@@ -14,9 +14,12 @@ For constant ``h`` one RK4 step is exactly its stability polynomial
 integrator builds ``D = R(z) - 1`` once, raises ``I + D`` to the number of
 steps between records by binary powering in increment form, and applies
 the result as one matrix-vector product per recorded interval and field.
+Building these step maps needs no eigenvector, and the recorded states are
+written into stacked arrays, a :class:`Trajectory`.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +40,10 @@ MAX_STEPS = 10 ** 8
 # recorded rows of a run above this are refused: evolve and continuum
 # snapshots, sweep samples; each is held in memory and written as one CSV row
 MAX_RECORDS = 10 ** 6
+
+# recorded complex entries of an evolve or continuum run above this are refused:
+# rows times 2n (psi and phibar), 512 MiB held
+MAX_RECORD_ENTRIES = 2 ** 25
 
 # single steps of an interval whose composed increment overflows are checked for
 # overflow this often, so such a run ends soon after its state does
@@ -82,6 +89,35 @@ class StatePair:
     @property
     def n(self) -> int:
         return self.psi.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """Recorded states of a run, stacked: record ``k`` is ``t[k]``, ``psi[k]``, ``phibar[k]``.
+
+    The arrays are read-only.  Item ``k`` is a :class:`StatePair` view of row
+    ``k``, built when it is read; a slice is a trajectory of the same rows.
+    """
+
+    t: np.ndarray
+    psi: np.ndarray
+    phibar: np.ndarray
+    hbar: float = DEFAULT_HBAR
+
+    def __post_init__(self):
+        for a in (self.t, self.psi, self.phibar):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return replace(self, t=self.t[k], psi=self.psi[k], phibar=self.phibar[k])
+        return self._record(self.psi[k], self.phibar[k], float(self.t[k]))
+
+    def _record(self, psi, phibar, t):
+        return StatePair(psi=psi, phibar=phibar, t=t, hbar=self.hbar)
 
 
 @dataclass
@@ -236,15 +272,20 @@ def step_count(duration: float, dt: float) -> int:
     return steps
 
 
-def _rk4_increment(z: np.ndarray) -> np.ndarray:
-    """``R(z) - 1 = z + z^2/2 + z^3/6 + z^4/24`` of a matrix, smallest terms summed first.
+def _rk4_increments(w: np.ndarray):
+    """``R(w) - 1`` and ``R(-w) - 1`` of a matrix, ``R(z) - 1 = z + z^2/2 + z^3/6 + z^4/24``.
 
-    A step applied as ``x + (R(z) - 1) x`` rather than ``R(z) x`` keeps the
-    rounding of the precomputed matrix relative to its small increment, so
-    it does not accumulate into a phase drift of about ``steps * eps``.
+    Smallest terms are summed first.  A step applied as ``x + (R(z) - 1) x``
+    rather than ``R(z) x`` keeps the rounding of the precomputed matrix
+    relative to its small increment, so it does not accumulate into a phase
+    drift of about ``steps * eps``.  Negation is exact, so the powers of
+    ``-w`` are those of ``w`` with the odd ones negated: both increments take
+    the three products of one.
     """
-    z2 = z @ z
-    return z + (z2 / 2.0 + ((z2 @ z) / 6.0 + (z2 @ z2) / 24.0))
+    w2 = w @ w
+    w3 = w2 @ w
+    even2, even4 = w2 / 2.0, (w2 @ w2) / 24.0
+    return w + (even2 + (w3 / 6.0 + even4)), -w + (even2 + ((-w3) / 6.0 + even4))
 
 
 def _increment_power(d: np.ndarray, k: int) -> np.ndarray:
@@ -264,16 +305,41 @@ def _increment_power(d: np.ndarray, k: int) -> np.ndarray:
         d = 2.0 * d + d @ d
 
 
+def _step_maps(h, dt: float, hbar: float, steps: int, record_every: int):
+    """The step maps of an RK4 run: ``(delta_psi, delta_phibar, powers)``.
+
+    ``delta_psi`` and ``delta_phibar`` are the one-step increments of psi and
+    phibar; ``powers`` maps each interval length of the run, ``record_every``
+    and a shorter last one, to the increments of its powers, or to None if
+    one overflows.  They depend on ``h``, ``dt``, ``hbar`` and the lengths
+    only, so need no eigenvector.  Raises :class:`StepTooLarge` as
+    :func:`check_step` does.
+    """
+    check_step(h, dt, hbar)
+    # psi' = -(i/hbar) h psi and phibar' = phibar (i/hbar) h: z = +-w for each
+    delta_psi, delta_phibar = _rk4_increments((-1j * dt / hbar) * h)
+    powers = {}
+    # an overflowing power is a detected condition, stepped singly; numpy's error
+    # state is per thread, so it is set here for a caller on any thread
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in (min(record_every, steps), steps % record_every or record_every):
+            if m not in powers:
+                pair = _increment_power(delta_psi, m), _increment_power(delta_phibar, m)
+                powers[m] = pair if all(np.all(np.isfinite(e)) for e in pair) else None
+    return delta_psi, delta_phibar, powers
+
+
 def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
-                   record_every: int = 1) -> list:
+                   record_every: int = 1, *, _maps=None) -> Trajectory:
     """Fixed-step RK4 trajectory of the coupled system under constant ``h``.
 
-    Returns the recorded :class:`StatePair` snapshots (always including the
-    initial and final states).  Each recorded interval of ``k`` steps is one
-    product with the increment of ``R(z)^k``, formed once per run for
+    Returns the recorded states (always including the initial and final
+    states) as a :class:`Trajectory`.  Each recorded interval of ``k`` steps
+    is one product with the increment of ``R(z)^k``, formed once per run for
     ``record_every`` and for a shorter last interval; an interval whose
     increment overflows, as that of a growing mode can before the state
     does, is taken one step at a time and given up once the state overflows.
+    ``_maps``, if given, is what ``_step_maps`` returns for these arguments.
 
     Raises
     ------
@@ -289,23 +355,23 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     if record_every < 1:
         raise ValueError("record_every must be positive")
     hbar = state0.hbar
-    check_step(h, dt, hbar)
-    # psi' = -(i/hbar) h psi and phibar' = phibar (i/hbar) h: z = dt * rate for each
-    delta_psi = _rk4_increment((-1j * dt / hbar) * h)
-    delta_phibar = _rk4_increment((1j * dt / hbar) * h)
+    if _maps is None:
+        _maps = _step_maps(h, dt, hbar, steps, record_every)
+    delta_psi, delta_phibar, powers = _maps
 
+    ends = [*range(0, steps, record_every), steps]  # the step of each record
+    psi_rows = np.empty((len(ends), state0.n), dtype=complex)
+    phibar_rows = np.empty_like(psi_rows)
     psi, phibar = state0.psi, state0.phibar
-    out = [state0]
-    powers = {}  # interval length -> its two increments, or None if one overflows
-    k = 0
+    psi_rows[0], phibar_rows[0] = psi, phibar
     # overflow is a detected condition here, not a warning; inf and nan
     # survive every later product, so checking recorded steps catches it
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < steps:
-            m = min(record_every, steps - k)
-            if m not in powers:
-                pair = _increment_power(delta_psi, m), _increment_power(delta_phibar, m)
-                powers[m] = pair if all(np.all(np.isfinite(e)) for e in pair) else None
+        t = state0.t + np.array(ends) * dt  # a time beyond the float range is inf
+        t[0] = state0.t
+        for row in range(1, len(ends)):
+            k = ends[row]
+            m = k - ends[row - 1]
             if powers[m] is None:
                 for i in range(1, m + 1):
                     psi = psi + delta_psi @ psi
@@ -318,11 +384,10 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
                 e_psi, e_phibar = powers[m]
                 psi = psi + e_psi @ psi
                 phibar = phibar + phibar @ e_phibar
-            k += m
             if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
                 raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
-            out.append(StatePair(psi=psi, phibar=phibar, t=state0.t + k * dt, hbar=hbar))
-    return out
+            psi_rows[row], phibar_rows[row] = psi, phibar
+    return Trajectory(t, psi_rows, phibar_rows, hbar)
 
 
 def evolve_rk4(h, state0: StatePair, dt: float, steps: int) -> StatePair:

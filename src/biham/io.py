@@ -75,6 +75,11 @@ def atomic_write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+# cells of a CSV artifact above this are refused before the run: write_csv
+# holds each cell as a Python float and its text, about 100 bytes in all
+MAX_CSV_CELLS = 2 ** 24
+
+
 def write_csv(path, header, table) -> None:
     """Emit a CSV artifact atomically: ``header``, then each row of the float ``table``."""
     lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]

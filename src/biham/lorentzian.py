@@ -24,6 +24,12 @@ from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoeffic
 DEFAULT_SAMPLES = 201
 
 
+def _unit(x, y, z) -> float:
+    """:attr:`LorentzianParams.unit` of ``(x, y, z)``."""
+    exponent = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    return 1.0 if -500 < exponent <= 500 else math.ldexp(1.0, min(-exponent, 1023))
+
+
 @dataclass(frozen=True)
 class LorentzianParams:
     """Real parameters (x, y, z) of the two-level generator."""
@@ -43,8 +49,7 @@ class LorentzianParams:
         underflow: 1 while the largest magnitude lies in [2^-500, 2^500), where the closed
         forms keep the bits of ``**`` (libm's pow, which an exact rescaling can round
         differently), and otherwise the one that brings it into [0.5, 1)."""
-        exponent = math.frexp(max(abs(self.x), abs(self.y), abs(self.z)))[1]
-        return 1.0 if -500 < exponent <= 500 else math.ldexp(1.0, min(-exponent, 1023))
+        return _unit(self.x, self.y, self.z)
 
     @property
     def scaled_discriminant(self) -> float:
@@ -112,13 +117,18 @@ def lorentzian_uv(p: LorentzianParams) -> LorentzianEigenpair:
         If ``z^2 <= x^2 + y^2`` (complex or exceptional spectrum; the closed
         forms break down and sgn(z) is not defined at z = 0).
     """
+    return LorentzianEigenpair(*_closed_form(p.x, p.y, p.z))
+
+
+def _closed_form(x0, y0, z0):
+    """``(u, v, E)`` of :func:`lorentzian_uv` at ``(x0, y0, z0)``, in the caller's scalar types."""
     # (u, v) are scale-free: they come from the scaled parameters, and E is scaled back
-    unit = p.unit
-    x, y, z = p.x * unit, p.y * unit, p.z * unit
+    unit = _unit(x0, y0, z0)
+    x, y, z = x0 * unit, y0 * unit, z0 * unit
     disc = z * z - x * x - y * y
     if disc <= 0.0:
         raise OutsideRealRegime(
-            f"(x, y, z) = ({p.x:g}, {p.y:g}, {p.z:g}) has z^2 - x^2 - y^2 = "
+            f"(x, y, z) = ({x0:g}, {y0:g}, {z0:g}) has z^2 - x^2 - y^2 = "
             f"{disc / unit / unit:g} <= 0"
         )
     root = math.sqrt(disc)
@@ -127,7 +137,7 @@ def lorentzian_uv(p: LorentzianParams) -> LorentzianEigenpair:
     sign = 1.0 if z > 0 else -1.0
     u = -sign * (root + az) / denom
     v = (x - 1j * y) / denom
-    return LorentzianEigenpair(u=complex(u), v=complex(v), E=sign * root / unit)
+    return complex(u), complex(v), sign * root / unit
 
 
 def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
@@ -192,8 +202,12 @@ class SweepPath:
         return cls(tuple(start), tuple(end), T, samples)
 
     def params_at(self, s: float) -> LorentzianParams:
+        return LorentzianParams(*self.point_at(s))
+
+    def point_at(self, s: float) -> tuple:
+        """``(x, y, z)`` at fraction ``s`` of the path."""
         (x0, y0, z0), (x1, y1, z1) = self.start, self.end
-        return LorentzianParams(x0 + (x1 - x0) * s, y0 + (y1 - y0) * s, z0 + (z1 - z0) * s)
+        return x0 + (x1 - x0) * s, y0 + (y1 - y0) * s, z0 + (z1 - z0) * s
 
 
 def check_real_regime(path: SweepPath) -> None:
@@ -410,8 +424,8 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
 
         # the closed forms per sample, in the caller's scalar types: numpy's powers
         # round differently from Python's
-        pairs = [lorentzian_uv(path.params_at(k / steps)) for k in marks.tolist()]
-        u, v = np.array([(pair.u, pair.v) for pair in pairs], dtype=complex).T
+        u, v = np.array([_closed_form(*path.point_at(k / steps))[:2] for k in marks.tolist()],
+                        dtype=complex).T
         # LorentzianEigenpair's right and left vectors, one C-ordered 2x2 per sample:
         # the products then take the per-sample BLAS calls' roundings
         right = np.stack([u, v.conj(), v, u.conj()], axis=-1).reshape(-1, 2, 2)

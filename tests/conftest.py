@@ -7,8 +7,8 @@ import pytest
 def no_thread_outlives_its_test():
     """Fail a test that ends with more or fewer threads than it began with.
 
-    The CLI runs part of decompose and verify on a second thread, which it
-    joins before it returns or raises.
+    The CLI runs part of decompose, verify and continuum on a second thread,
+    which it joins before it returns or raises.
     """
     before = threading.active_count()
     yield

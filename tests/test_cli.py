@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biham import canonical, io, spectral
+from biham import canonical, cli, continuum, dynamics, io, spectral
 from biham.cli import COMMANDS, build_parser, load_config, main, run_config, validate_config
 from biham.dynamics import StatePair
-from biham.errors import NonFinite, NotDiagonalizable
+from biham.errors import NonFinite, NotDiagonalizable, StepTooLarge, ZeroModalCoefficient
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -292,7 +292,7 @@ def run_refused(tmp_path, capsys, cfg):
 
 
 def raiser(error):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise error("injected")
     return fail
 
@@ -349,11 +349,74 @@ def test_decompose_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypat
     assert done == [True]
 
 
+# continuum builds its RK4 step maps beside the lattice eigenbasis and phibar0
+
+@pytest.mark.parametrize("eigenbasis, maps, error", [
+    (NotDiagonalizable, None, "not_diagonalizable"),
+    (None, StepTooLarge, "step_too_large"),
+    (ZeroModalCoefficient, StepTooLarge, "zero_modal_coefficient"),  # the eigenbasis first
+    (NonFinite, MemoryError, "non_finite"),
+], ids=["main", "helper", "both", "both_non_finite"])
+def test_continuum_error_in_either_thread(tmp_path, capsys, monkeypatch, eigenbasis, maps,
+                                          error):
+    if eigenbasis is not None:
+        monkeypatch.setattr(continuum, "initial_lattice_state", raiser(eigenbasis))
+    if maps is not None:
+        monkeypatch.setattr(dynamics, "_step_maps", raiser(maps))
+    cfg = load_config(FIXTURES / "continuum_gaussian.json")
+    assert run_refused(tmp_path, capsys, cfg) == (3, error)
+
+
+def test_continuum_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypatch):
+    # the eigenbasis fails at once, while the maps on the helper are still being built
+    done = []
+    build = dynamics._step_maps
+
+    def slow_maps(*args):
+        time.sleep(0.2)
+        done.append(True)
+        return build(*args)
+
+    monkeypatch.setattr(continuum, "initial_lattice_state", raiser(NotDiagonalizable))
+    monkeypatch.setattr(dynamics, "_step_maps", slow_maps)
+    cfg = load_config(FIXTURES / "continuum_gaussian.json")
+    assert run_refused(tmp_path, capsys, cfg) == (3, "not_diagonalizable")
+    assert done == [True]
+
+
+def lattice_config(N, snapshot_every, steps):
+    cfg = load_config(FIXTURES / "continuum_gaussian.json")
+    cfg["params"].update(N=N, snapshot_every=snapshot_every,
+                         t_final=steps * cfg["params"]["dt"])
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    load_config(FIXTURES / "continuum_gaussian.json"),
+    lattice_config(64, 7, 100),   # a shorter last interval: two composed powers
+    lattice_config(16, 1, 40),    # every step recorded
+], ids=["fixture", "N64_uneven", "N16_every_step"])
+def test_continuum_artifact_has_the_bits_of_the_sequential_order(tmp_path, capsys,
+                                                                 monkeypatch, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    before = threading.active_count()
+    assert run_cli("continuum", path, tmp_path / "beside") == 0
+    assert threading.active_count() == before
+    monkeypatch.setattr(cli, "_beside", lambda main, side: (main(), side()))
+    assert run_cli("continuum", path, tmp_path / "sequential") == 0
+    assert capsys.readouterr() == ("", "")
+    name = cfg["output"]
+    assert ((tmp_path / "beside" / name).read_bytes()
+            == (tmp_path / "sequential" / name).read_bytes())
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("decompose", load_config(FIXTURES / "decompose_upper.json")),
     ("verify", verify_with_phibar0()),
     ("verify", load_config(FIXTURES / "verify_random.json")),
-], ids=["decompose", "verify_phibar0", "verify"])
+    ("continuum", load_config(FIXTURES / "continuum_gaussian.json")),
+], ids=["decompose", "verify_phibar0", "verify", "continuum"])
 def test_successful_run_leaves_no_thread(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -162,10 +162,10 @@ class TestContinuity:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(continuity_residual(snaps, cfg))
 
-    @pytest.mark.parametrize("rows, sites", [(1001, 256), (29, 64)])
+    @pytest.mark.parametrize("rows, sites", [(1001, 256), (29, 64), (600, 1024)])
     def test_stacked_residuals_equal_each_window_bitwise(self, rows, sites):
         # 999 interior rows of 256 sites pass numpy's 256 KiB threshold for reusing
-        # temporaries in place, 27 rows of 64 do not
+        # temporaries in place, 27 rows of 64 do not; 598 rows of 1024 take three blocks
         rng = np.random.default_rng(rows)
         cfg = ContinuumConfig(L=20.0, N=sites)
 

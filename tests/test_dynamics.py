@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from biham.dynamics import (
     ModalCoordinates,
     StatePair,
+    Trajectory,
+    _step_maps,
     conjugate_field,
     default_modal_constants,
     evolve_exact,
@@ -184,6 +186,52 @@ class TestEvolveRk4:
         st = _conjugate_pair(np.array([1.0, 0.5], dtype=complex))
         traj = rk4_trajectory(h, st, dt=0.01, steps=300, record_every=300)
         assert abs(right_norm(traj[-1]) - right_norm(traj[0])) > 1e-2
+
+
+class TestStackedRecords:
+    @pytest.mark.parametrize("steps, record_every", [(50, 1), (1001, 250), (37, 100)])
+    def test_rows_are_the_per_record_values(self, steps, record_every):
+        # each record taken one interval at a time from the same step maps, as its own
+        # StatePair: the stacked rows carry the same bits
+        rng = np.random.default_rng(steps)
+        h, _, _ = random_diagonalizable(rng, 6, imag_scale=1e-3)
+        dt, hbar = 0.3 / np.linalg.norm(h, 2), 0.8
+        st = StatePair(psi=random_state(rng, 6), phibar=random_state(rng, 6), t=0.5, hbar=hbar)
+        traj = rk4_trajectory(h, st, dt, steps, record_every=record_every)
+
+        _, _, powers = _step_maps(h, dt, hbar, steps, record_every)
+        want, k = [st], 0
+        while k < steps:
+            m = min(record_every, steps - k)
+            e_psi, e_phibar = powers[m]
+            prev = want[-1]
+            k += m
+            want.append(StatePair(psi=prev.psi + e_psi @ prev.psi,
+                                  phibar=prev.phibar + prev.phibar @ e_phibar,
+                                  t=st.t + k * dt, hbar=hbar))
+
+        assert isinstance(traj, Trajectory) and len(traj) == len(want)
+        assert traj.t.tobytes() == np.array([s.t for s in want]).tobytes()
+        assert traj.psi.tobytes() == np.array([s.psi for s in want]).tobytes()
+        assert traj.phibar.tobytes() == np.array([s.phibar for s in want]).tobytes()
+        for k, (got, s) in enumerate(zip(traj, want)):
+            assert got.t == s.t and got.hbar == hbar
+            assert np.shares_memory(got.psi, traj.psi[k])
+            assert got.psi.tobytes() == s.psi.tobytes()
+            assert got.phibar.tobytes() == s.phibar.tobytes()
+        assert traj[-1].psi.tobytes() == want[-1].psi.tobytes()
+        assert [s.t for s in traj[1::2]] == [s.t for s in want[1::2]]
+
+    def test_records_are_read_only(self):
+        rng = np.random.default_rng(2)
+        h, _, _ = random_diagonalizable(rng, 3)
+        st = StatePair(psi=random_state(rng, 3), phibar=random_state(rng, 3))
+        traj = rk4_trajectory(h, st, 0.1 / np.linalg.norm(h, 2), 20, record_every=5)
+        for rows in (traj, traj[1:]):
+            for a in (rows.t, rows.psi, rows.phibar, rows[0].psi, rows[0].phibar):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
 
 class TestObservables:

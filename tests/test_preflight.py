@@ -406,6 +406,52 @@ def test_continuum_rows_cap_both_routes(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def identity_evolve(n, steps):
+    """An rk4 evolve of the n x n identity: 4n + 4 CSV cells per row."""
+    eye = np.eye(n).tolist()
+    return evolve_config(matrix={"n": n, "re": eye, "im": np.zeros((n, n)).tolist()},
+                         psi0={"re": [1.0] * n, "im": [0.0] * n},
+                         t_final=steps * 0.1, dt=0.1)
+
+
+# a continuum row holds 2N complex entries and 5 CSV cells, an evolve row 2n entries
+# and 4n + 4 cells: the entry cap binds the first, the cell cap the second
+MEMORY_CAPS = {  # module, cap, what it counts, config of so many rows, count per row
+    "entries": (biham.dynamics, "MAX_RECORD_ENTRIES", "recorded complex entries",
+                lambda rows: continuum_config(N=32, t_final=(rows - 1) * 0.0005,
+                                              snapshot_every=1), 64),
+    "cells": (biham.io, "MAX_CSV_CELLS", "CSV cells",
+              lambda rows: identity_evolve(7, rows - 1), 32),
+}
+
+
+@pytest.mark.parametrize("cap", MEMORY_CAPS)
+def test_memory_caps_at_the_cap_and_one_row_above(cap):
+    module, name, what, config, width = MEMORY_CAPS[cap]
+    limit = getattr(module, name)
+    assert limit % width == 0
+    assert validate_config(config(limit // width)) == []
+    diags = validate_config(config(limit // width + 1))
+    assert len(diags) == 1 and diags[0].startswith("params.snapshot_every: ")
+    assert f"of {width} {what}, {limit + width} in all, above the limit of {limit}" in diags[0]
+
+
+@pytest.mark.parametrize("cap", MEMORY_CAPS)
+def test_memory_caps_both_routes(tmp_path, capsys, monkeypatch, cap):
+    # the caps lowered to 6 rows, so a run at the cap is cheap
+    module, name, what, config, width = MEMORY_CAPS[cap]
+    monkeypatch.setattr(module, name, 6 * width)
+    (tmp_path / "at").mkdir()
+    (tmp_path / "above").mkdir()
+    validate, diags, run, err = routes(tmp_path / "at", config(6), capsys)
+    assert (validate, diags, run, err) == (0, [], 0, [""])
+    assert len(list((tmp_path / "at" / "out").iterdir())) == 1
+    validate, diags, run, err = routes(tmp_path / "above", config(7), capsys)
+    assert validate == 2 and len(diags) == 1 and what in diags[0]
+    assert run == 2 and len(err) == 1 and json.loads(err[0])["error"] == "config_error"
+    assert not (tmp_path / "above" / "out").exists()
+
+
 def test_continuum_grid_cap_both_routes(tmp_path, capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("an over-cap generator must not be built")

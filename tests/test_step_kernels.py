@@ -34,7 +34,7 @@ from biham.dynamics import (
     ABSENT_MODE_CUTOFF,
     MAX_STEPS,
     StatePair,
-    _rk4_increment,
+    _rk4_increments,
     check_step,
     rk4_trajectory,
     step_count,
@@ -74,6 +74,39 @@ def stagewise_rk4(h, state0, dt, steps, record_every):
         if k % record_every == 0 or k == steps:
             out.append((state0.t + k * dt, psi, phibar))
     return out
+
+
+def rk4_increment(z):
+    """``R(z) - 1`` of one field, smallest terms first: the reference of ``_rk4_increments``."""
+    z2 = z @ z
+    return z + (z2 / 2.0 + ((z2 @ z) / 6.0 + (z2 @ z2) / 24.0))
+
+
+def lattice_generator(rng, n):
+    """A periodic lattice generator under a random complex potential."""
+    cfg = continuum.ContinuumConfig(L=float(rng.uniform(5.0, 30.0)), N=n)
+    V = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-0.1, 0.1, n)
+    V[rng.random(n) < 0.3] = 0.0  # sites without potential: exact zeros
+    return continuum.discretize(cfg, V)
+
+
+def test_phibar_increment_from_psi_powers_is_bitwise():
+    # phibar's increment reuses psi's w^2, w^3 and w^4; it must keep the bits of its own
+    # evaluation at z = +i dt h / hbar, signed zeros included: dense draws, n = 1-40,
+    # with exact zeros, and lattices with N = 8-128
+    rng = np.random.default_rng(5000)
+    for draw in range(220):
+        if draw % 2:
+            n = int(rng.integers(1, 41))
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h[rng.random((n, n)) < 0.2] = 0.0
+        else:
+            h = lattice_generator(rng, int(rng.choice([8, 16, 32, 64, 128])))
+        hbar = float(rng.uniform(0.5, 2.0))
+        dt = float(rng.uniform(0.01, 0.5)) * hbar / (np.linalg.norm(h, 2) or 1.0)
+        d_psi, d_phibar = _rk4_increments((-1j * dt / hbar) * h)
+        for got, z in ((d_psi, (-1j * dt / hbar) * h), (d_phibar, (1j * dt / hbar) * h)):
+            assert np.array_equal(got.view(np.int64), rk4_increment(z).view(np.int64)), draw
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -197,8 +230,8 @@ def test_every_step_recording_applies_the_one_step_increment():
     h, _, _ = random_diagonalizable(rng, 5)
     dt, hbar = 0.4 / np.linalg.norm(h, 2), 1.3
     state0 = StatePair(psi=random_state(rng, 5), phibar=random_state(rng, 5), hbar=hbar)
-    d_psi = _rk4_increment((-1j * dt / hbar) * h)
-    d_phibar = _rk4_increment((1j * dt / hbar) * h)
+    d_psi = rk4_increment((-1j * dt / hbar) * h)
+    d_phibar = rk4_increment((1j * dt / hbar) * h)
 
     got = rk4_trajectory(h, state0, dt, 50, record_every=1)
 
