@@ -362,7 +362,8 @@ def _preflight(cfg: dict):
             # extreme centers, widths or phases give inf or nan here, not
             # warnings; psi0 and the generator are then refused as not finite
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                config, V, _ = inputs["lattice"] = _continuum_setup(params, inputs)
+                config, V, inputs["psi0"] = _continuum_setup(params, inputs)
+                inputs["config"] = config
                 h = inputs["h"] = continuum.discretize(config, V)
         except ConfigError as exc:
             return [exc], inputs
@@ -391,15 +392,12 @@ def validate_config(cfg: dict) -> list:
 # command execution
 
 
-def _finite_table(table, placeholder=None):
-    """``table``, a CSV artifact; NonFinite if a cell not marked in ``placeholder`` is not finite.
+def _finite_table(table):
+    """``table``, a CSV artifact; NonFinite if a cell is not finite.
 
     A derived column can overflow while the state it is computed from is finite.
     """
-    bad = ~np.isfinite(table)
-    if placeholder is not None:
-        bad &= ~placeholder
-    rows = np.flatnonzero(bad.any(axis=1))
+    rows = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if rows.size:
         raise NonFinite(f"a derived column leaves the float range at t={table[rows[0], 0]:.6g}")
     return table
@@ -490,13 +488,9 @@ def _run_evolve(inputs, params, seed):
         traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
         t, psi, phibar = traj.t, traj.psi, traj.phibar
     else:
-        marks = [*range(0, steps, every), steps]
-        t = np.empty(len(marks))
-        psi = np.empty((len(marks), h.shape[0]), dtype=complex)
-        phibar = np.empty_like(psi)
-        for row, k in enumerate(marks):
-            s = dynamics.evolve_exact(inputs["system"], state0, k * dt)
-            t[row], psi[row], phibar[row] = s.t, s.psi, s.phibar
+        durations = np.array([*range(0, steps, every), steps]) * dt
+        t = state0.t + durations
+        psi, phibar = dynamics.exact_records(inputs["system"], state0, durations)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         overlap = np.sum(phibar * psi, axis=1)
         norm = _right_norms(psi)
@@ -582,28 +576,25 @@ CONTINUUM_HEADER = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
 
 
 def _run_continuum(inputs, params, seed):
-    config, V, psi0 = inputs["lattice"]
-    h, steps, dt = inputs["h"], inputs["steps"], params["dt"]
+    config, h, steps, dt = inputs["config"], inputs["h"], inputs["steps"], params["dt"]
     every = params.get("snapshot_every", 1)
     # the step maps need no eigenvector, so they are built beside the eigenbasis
-    field0, maps = _beside(
-        lambda: continuum.initial_lattice_state(config, V, psi0, h=h),
+    state0, maps = _beside(
+        lambda: _initial_state(spectral.biorthogonal_decompose(h), inputs, params, seed),
         lambda: dynamics._step_maps(h, dt, config.hbar, steps, every))
-    snaps = continuum.evolve_lattice(config, field0, dt, steps, record_every=every, h=h,
-                                     _maps=maps)
+    snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every, _maps=maps)
     # the time stencil of a row needs equal gaps: not the end rows, nor the
     # row before a shorter last interval when snapshot_every does not divide steps
     last = len(snaps) - 2 if steps % every != 0 else len(snaps) - 1
-    resid = np.full(len(snaps), np.nan)  # NaN placeholders outside 0 < k < last
+    resid = np.zeros(len(snaps))
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         q = np.sum(snaps.phibar * snaps.psi, axis=1) * config.dx
         if last > 1:
             resid[1:last] = continuum.continuity_residuals(snaps[:last + 1], config)
         norm = _right_norms(snaps.psi) * config.dx
-    table = np.column_stack([snaps.t, q.real, q.imag, resid, norm])
-    placeholder = np.zeros(table.shape, dtype=bool)
-    placeholder[[0, *range(last, len(snaps))], 3] = True
-    return CONTINUUM_HEADER, _finite_table(table, placeholder)
+    table = _finite_table(np.column_stack([snaps.t, q.real, q.imag, resid, norm]))
+    table[[0, *range(last, len(snaps))], 3] = np.nan  # no time stencil there
+    return CONTINUUM_HEADER, table
 
 
 _RUNNERS = {

@@ -5,8 +5,10 @@ generator is a (non-Hermitian for ``Im V != 0``) matrix that module
 ``spectral`` can decompose like any other.  The bilinear density
 ``rho_i = phibar_i psi_i`` integrates to the conserved charge
 ``Q = sum_i rho_i dx``, and the matching site current satisfies a discrete
-continuity equation up to the stencil order.  Everything verified here is
-dimension-independent; one dimension suffices.
+continuity equation up to the stencil order.  The lattice is a discrete
+system: :func:`evolve_lattice` runs :func:`biham.dynamics.rk4_trajectory` on
+the generator, and its records are :class:`~biham.dynamics.StatePair` items.
+Everything verified here is dimension-independent; one dimension suffices.
 """
 
 import math
@@ -85,16 +87,6 @@ class LatticeField:
         return self.phibar * self.psi
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeTrajectory(dynamics.Trajectory):
-    """Recorded lattice fields, stacked; item ``k`` is a :class:`LatticeField` view of row ``k``."""
-
-    V: np.ndarray = None
-
-    def _record(self, psi, phibar, t):
-        return LatticeField(psi=psi, phibar=phibar, V=self.V, t=t)
-
-
 def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
     """Periodic second-order central first derivative along the last axis."""
     return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
@@ -120,9 +112,12 @@ def discretize(config: ContinuumConfig, V) -> np.ndarray:
     return h
 
 
-def lattice_charge(field: LatticeField, dx: float) -> complex:
-    """Charge ``Q = sum_i phibar_i psi_i dx`` (rectangle rule, exact under periodicity)."""
-    return complex(np.sum(field.density) * dx)
+def lattice_charge(field, dx: float) -> complex:
+    """Charge ``Q = sum_i phibar_i psi_i dx`` (rectangle rule, exact under periodicity).
+
+    ``field`` is a :class:`LatticeField` or a recorded :class:`~biham.dynamics.StatePair`.
+    """
+    return complex(np.sum(field.phibar * field.psi) * dx)
 
 
 def _current(psi: np.ndarray, phibar: np.ndarray, config: ContinuumConfig) -> np.ndarray:
@@ -243,35 +238,24 @@ def complex_gaussian_potential(x: np.ndarray, center: float, width: float,
     return amplitude * np.exp(-((x - center) ** 2) / (2.0 * np.float64(width) ** 2))
 
 
-def initial_lattice_state(config: ContinuumConfig, V, psi0, h=None) -> LatticeField:
+def initial_lattice_state(config: ContinuumConfig, V, psi0) -> LatticeField:
     """Build the t=0 field with the conjugate part from the lattice eigenbasis.
 
     The modal constants default to ``|c_j(0)|^2``, so for real potentials the
-    conjugate field reduces to ``psi^H``.  ``h``, if given, is
-    ``discretize(config, V)`` already built.
+    conjugate field reduces to ``psi^H``.
     """
     V = np.asarray(V, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
-    if h is None:
-        h = discretize(config, V)
-    system = biorthogonal_decompose(h)
+    system = biorthogonal_decompose(discretize(config, V))
     csq = dynamics.default_modal_constants(system, psi0)
     phibar = dynamics.conjugate_field(system, psi0, csq)
     return LatticeField(psi=psi0, phibar=phibar, V=V, t=0.0)
 
 
 def evolve_lattice(config: ContinuumConfig, field0: LatticeField, dt: float,
-                   steps: int, record_every: int = 1, h=None, *,
-                   _maps=None) -> LatticeTrajectory:
-    """RK4-evolve a lattice field; returns the recorded fields, stacked.
-
-    ``h``, if given, is ``discretize(config, field0.V)`` already built, and
-    ``_maps`` the step maps of :func:`biham.dynamics.rk4_trajectory`.
-    """
-    if h is None:
-        h = discretize(config, field0.V)
+                   steps: int, record_every: int = 1) -> dynamics.Trajectory:
+    """RK4-evolve a lattice field; returns the recorded states, stacked."""
     state0 = dynamics.StatePair(psi=field0.psi, phibar=field0.phibar,
                                 t=field0.t, hbar=config.hbar)
-    traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=record_every,
-                                   _maps=_maps)
-    return LatticeTrajectory(traj.t, traj.psi, traj.phibar, traj.hbar, V=field0.V)
+    return dynamics.rk4_trajectory(discretize(config, field0.V), state0, dt, steps,
+                                   record_every=record_every)

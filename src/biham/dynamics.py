@@ -9,6 +9,8 @@ The pair makes the overlap ``<phibar|psi>`` a constant of motion for any
 Two propagators are provided: exact eigenbasis propagation through a
 :class:`~biham.spectral.BiorthogonalSystem`, and a fixed-step classical RK4
 integrator for cross-validation (global error O(dt^4), no adaptive stepping).
+The exact one expands the initial state once and propagates it by every
+recorded duration in one stacked product per field (:func:`exact_records`).
 For constant ``h`` one RK4 step is exactly its stability polynomial
 ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` at ``z = -i*dt*h/hbar``, so the
 integrator builds ``D = R(z) - 1`` once, raises ``I + D`` to the number of
@@ -114,10 +116,8 @@ class Trajectory(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return replace(self, t=self.t[k], psi=self.psi[k], phibar=self.phibar[k])
-        return self._record(self.psi[k], self.phibar[k], float(self.t[k]))
-
-    def _record(self, psi, phibar, t):
-        return StatePair(psi=psi, phibar=phibar, t=t, hbar=self.hbar)
+        return StatePair(psi=self.psi[k], phibar=self.phibar[k], t=float(self.t[k]),
+                         hbar=self.hbar)
 
 
 @dataclass
@@ -210,24 +210,39 @@ def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
     return phibar
 
 
-def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> StatePair:
-    """Propagate a state pair by duration ``t`` through the eigenbasis.
+def exact_records(system: BiorthogonalSystem, state0: StatePair, durations):
+    """``(psi, phibar)``, row ``k`` the state pair propagated by ``durations[k]``.
 
     ``c_j(t) = c_j(0) exp(-i E_j t / hbar)`` and
     ``cbar_j(t) = cbar_j(0) exp(+i E_j t / hbar)``; the overlap is preserved
-    up to roundoff for arbitrary (also complex) spectra.  A growing mode
-    that overflows raises :class:`NonFinite`.
+    up to roundoff for arbitrary (also complex) spectra.  ``state0`` is
+    expanded once, and each field is one stacked product, which numpy takes
+    as one matrix-vector product per row: a row has the bits of a one-row
+    call.  A growing mode that overflows raises :class:`NonFinite` at the
+    first row it reaches.
     """
-    hbar = state0.hbar
+    durations = np.asarray(durations, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phase = np.exp(-1j * system.eigenvalues * t / hbar)
-        c = expand_state(system, state0.psi) * phase
-        cbar = (state0.phibar @ system.right) / phase
-        psi = system.right @ c
-        phibar = system.left.conj() @ cbar
-    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
-        raise NonFinite(f"state overflowed by t={state0.t + t:.6g}")
-    return StatePair(psi=psi, phibar=phibar, t=state0.t + t, hbar=hbar)
+        # c0 and cbar0 as (1, n) rows: for n = 1 numpy rounds the broadcast
+        # (1,) * (1, 1) product differently from the one-row (1,) * (1,) one,
+        # and (1, 1) * (1, 1) as the latter
+        c0 = expand_state(system, state0.psi)[None, :]
+        cbar0 = (state0.phibar @ system.right)[None, :]
+        phase = np.exp(-1j * system.eigenvalues * durations[:, None] / state0.hbar)
+        c = c0 * phase
+        cbar = cbar0 / phase
+        psi = (system.right @ c[:, :, None])[:, :, 0]
+        phibar = (system.left.conj() @ cbar[:, :, None])[:, :, 0]
+    bad = ~(np.isfinite(psi).all(axis=1) & np.isfinite(phibar).all(axis=1))
+    if bad.any():
+        raise NonFinite(f"state overflowed by t={state0.t + durations[bad.argmax()]:.6g}")
+    return psi, phibar
+
+
+def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> StatePair:
+    """Propagate a state pair by duration ``t``: the one-row case of :func:`exact_records`."""
+    psi, phibar = exact_records(system, state0, [t])
+    return StatePair(psi=psi[0], phibar=phibar[0], t=state0.t + t, hbar=state0.hbar)
 
 
 def check_step(h, dt: float, hbar: float) -> None:

@@ -359,8 +359,11 @@ def test_decompose_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypat
 ], ids=["main", "helper", "both", "both_non_finite"])
 def test_continuum_error_in_either_thread(tmp_path, capsys, monkeypatch, eigenbasis, maps,
                                           error):
-    if eigenbasis is not None:
-        monkeypatch.setattr(continuum, "initial_lattice_state", raiser(eigenbasis))
+    # the decomposition fails as NotDiagonalizable, phibar0's construction otherwise
+    if eigenbasis is NotDiagonalizable:
+        monkeypatch.setattr(spectral, "biorthogonal_decompose", raiser(eigenbasis))
+    elif eigenbasis is not None:
+        monkeypatch.setattr(dynamics, "conjugate_field", raiser(eigenbasis))
     if maps is not None:
         monkeypatch.setattr(dynamics, "_step_maps", raiser(maps))
     cfg = load_config(FIXTURES / "continuum_gaussian.json")
@@ -377,7 +380,7 @@ def test_continuum_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypat
         done.append(True)
         return build(*args)
 
-    monkeypatch.setattr(continuum, "initial_lattice_state", raiser(NotDiagonalizable))
+    monkeypatch.setattr(spectral, "biorthogonal_decompose", raiser(NotDiagonalizable))
     monkeypatch.setattr(dynamics, "_step_maps", slow_maps)
     cfg = load_config(FIXTURES / "continuum_gaussian.json")
     assert run_refused(tmp_path, capsys, cfg) == (3, "not_diagonalizable")
@@ -409,6 +412,46 @@ def test_continuum_artifact_has_the_bits_of_the_sequential_order(tmp_path, capsy
     name = cfg["output"]
     assert ((tmp_path / "beside" / name).read_bytes()
             == (tmp_path / "sequential" / name).read_bytes())
+
+
+@pytest.mark.parametrize("cfg", [
+    load_config(FIXTURES / "continuum_gaussian.json"),
+    lattice_config(64, 7, 100),   # a shorter last interval: one more NaN residual
+], ids=["fixture", "N64_uneven"])
+def test_continuum_csv_has_the_bits_of_the_library(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("continuum", path, tmp_path) == 0
+    header, got = read_csv(tmp_path / cfg["output"])  # float() parses each repr exactly
+
+    params = cfg["params"]
+    config = continuum.ContinuumConfig(L=params["L"], N=params["N"], m=params["m"],
+                                       hbar=params["hbar"])
+    x = config.grid()
+    pot, init = params["potential"], params["psi0"]
+    V = continuum.complex_gaussian_potential(x, pot["center"], pot["width"],
+                                             pot["amp_re"] + 1j * pot["amp_im"])
+    psi0 = continuum.gaussian_packet(x, init["center"], init["width"], init["momentum"],
+                                     config.hbar)
+    field0 = continuum.initial_lattice_state(config, V, psi0)
+    steps, every = round(params["t_final"] / params["dt"]), params["snapshot_every"]
+    snaps = continuum.evolve_lattice(config, field0, params["dt"], steps, record_every=every)
+    # no time stencil in the end rows, nor before a shorter last interval
+    last = len(snaps) - 1 if steps % every == 0 else len(snaps) - 2
+    resid = np.full(len(snaps), np.nan)
+    resid[1:last] = continuum.continuity_residuals(snaps[:last + 1], config)
+    q = np.array([continuum.lattice_charge(s, config.dx) for s in snaps])
+    norm = np.array([dynamics.right_norm(s) * config.dx for s in snaps])
+    want = np.column_stack([snaps.t, q.real, q.imag, resid, norm])
+
+    assert header == cli.CONTINUUM_HEADER
+    assert got.tobytes() == want.tobytes()
+    # a LatticeField and the record of the same row carry the same charge
+    assert continuum.lattice_charge(field0, config.dx) == q[0]
+    k = len(snaps) // 2
+    field = continuum.LatticeField(psi=snaps.psi[k], phibar=snaps.phibar[k], V=V,
+                                   t=snaps.t[k])
+    assert continuum.lattice_charge(field, config.dx) == q[k]
 
 
 @pytest.mark.parametrize("command, cfg", [

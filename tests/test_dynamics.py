@@ -11,6 +11,7 @@ from biham.dynamics import (
     default_modal_constants,
     evolve_exact,
     evolve_rk4,
+    exact_records,
     expand_state,
     overlap,
     right_norm,
@@ -131,6 +132,45 @@ class TestEvolveExact:
             assert abs(overlap(out) - q0) <= 1e-12 * max(1.0, abs(q0))
             mt = ModalCoordinates.from_state(sys6, out)
             assert_allclose(mt.cbar * mt.c, m0.cbar * m0.c, atol=1e-12)
+
+
+class TestExactRecords:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_rows_are_the_one_row_propagation(self, n):
+        # each row against the propagation of its own duration, written out; an
+        # int64 view tells signed zeros and nan payloads apart
+        rng = np.random.default_rng(100 + n)
+        h = random_hermitian(rng, n) if n % 2 else random_diagonalizable(rng, n)[0]
+        system = biorthogonal_decompose(h)
+        hbar = float(rng.uniform(0.3, 2.0))
+        st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n),
+                       t=float(rng.uniform(0.0, 1.0)), hbar=hbar)
+        durations = np.arange(int(rng.integers(1, 30))) * float(rng.uniform(1e-3, 0.2))
+        psi, phibar = exact_records(system, st, durations)
+
+        c0 = system.left.conj().T @ st.psi
+        cbar0 = st.phibar @ system.right
+        for k, t in enumerate(durations.tolist()):
+            phase = np.exp(-1j * system.eigenvalues * t / hbar)
+            want_psi = system.right @ (c0 * phase)
+            want_phibar = system.left.conj() @ (cbar0 / phase)
+            assert np.array_equal(psi[k].view(np.int64), want_psi.view(np.int64))
+            assert np.array_equal(phibar[k].view(np.int64), want_phibar.view(np.int64))
+            one = evolve_exact(system, st, t)
+            assert one.t == st.t + t
+            assert one.psi.tobytes() == psi[k].tobytes()
+            assert one.phibar.tobytes() == phibar[k].tobytes()
+
+    def test_first_overflowing_duration_is_reported(self):
+        system = biorthogonal_decompose(np.diag([5j, -5j]))
+        st = StatePair(psi=np.array([1.0, 1.0]), phibar=np.array([1.0, 1.0]), t=0.5)
+        psi, _ = exact_records(system, st, [0.0, 100.0])
+        assert np.all(np.isfinite(psi))
+        with pytest.raises(NonFinite) as one:
+            evolve_exact(system, st, 200.0)
+        with pytest.raises(NonFinite) as stacked:
+            exact_records(system, st, [0.0, 100.0, 200.0, 300.0])
+        assert str(stacked.value) == str(one.value) == "state overflowed by t=200.5"
 
 
 class TestEvolveRk4:
