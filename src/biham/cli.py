@@ -10,6 +10,7 @@ error, 4 io error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -485,7 +486,9 @@ def _run_evolve(inputs, params, seed):
     dt = params["dt"]
     every = params.get("snapshot_every", 1)
     if params["method"] == "rk4":
-        traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every)
+        # the preflight ran the step guard, so the maps are built without it
+        maps = dynamics._step_maps(h, dt, state0.hbar, steps, every)
+        traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every, _maps=maps)
         t, psi, phibar = traj.t, traj.psi, traj.phibar
     else:
         durations = np.array([*range(0, steps, every), steps]) * dt
@@ -578,7 +581,8 @@ CONTINUUM_HEADER = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
 def _run_continuum(inputs, params, seed):
     config, h, steps, dt = inputs["config"], inputs["h"], inputs["steps"], params["dt"]
     every = params.get("snapshot_every", 1)
-    # the step maps need no eigenvector, so they are built beside the eigenbasis
+    # the step maps need no eigenvector, so they are built beside the eigenbasis;
+    # the preflight ran the step guard
     state0, maps = _beside(
         lambda: _initial_state(spectral.biorthogonal_decompose(h), inputs, params, seed),
         lambda: dynamics._step_maps(h, dt, config.hbar, steps, every))
@@ -632,7 +636,9 @@ def run_config(cfg: dict, out_dir) -> Path:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="biham",
         description="Scenario runner for biorthogonal non-Hermitian dynamics.")

@@ -210,6 +210,12 @@ def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
     return phibar
 
 
+def _first_non_finite_row(psi: np.ndarray, phibar: np.ndarray):
+    """Index of the first row of ``psi`` or ``phibar`` with a non-finite entry, or None."""
+    bad = ~(np.isfinite(psi).all(axis=1) & np.isfinite(phibar).all(axis=1))
+    return int(bad.argmax()) if bad.any() else None
+
+
 def exact_records(system: BiorthogonalSystem, state0: StatePair, durations):
     """``(psi, phibar)``, row ``k`` the state pair propagated by ``durations[k]``.
 
@@ -233,9 +239,9 @@ def exact_records(system: BiorthogonalSystem, state0: StatePair, durations):
         cbar = cbar0 / phase
         psi = (system.right @ c[:, :, None])[:, :, 0]
         phibar = (system.left.conj() @ cbar[:, :, None])[:, :, 0]
-    bad = ~(np.isfinite(psi).all(axis=1) & np.isfinite(phibar).all(axis=1))
-    if bad.any():
-        raise NonFinite(f"state overflowed by t={state0.t + durations[bad.argmax()]:.6g}")
+    bad = _first_non_finite_row(psi, phibar)
+    if bad is not None:
+        raise NonFinite(f"state overflowed by t={state0.t + durations[bad]:.6g}")
     return psi, phibar
 
 
@@ -308,7 +314,7 @@ def _increment_power(d: np.ndarray, k: int) -> np.ndarray:
 
     Doubling is ``E_2k = 2 E_k + E_k^2`` and two powers combine as
     ``E_a + E_b + E_b E_a``; ``I + E`` is never formed, for the reason given
-    in :func:`_rk4_increment`.  ``k = 1`` returns ``d`` itself.
+    in :func:`_rk4_increments`.  ``k = 1`` returns ``d`` itself.
     """
     result = None
     while True:
@@ -327,10 +333,8 @@ def _step_maps(h, dt: float, hbar: float, steps: int, record_every: int):
     phibar; ``powers`` maps each interval length of the run, ``record_every``
     and a shorter last one, to the increments of its powers, or to None if
     one overflows.  They depend on ``h``, ``dt``, ``hbar`` and the lengths
-    only, so need no eigenvector.  Raises :class:`StepTooLarge` as
-    :func:`check_step` does.
+    only, so need no eigenvector.  The caller runs :func:`check_step` first.
     """
-    check_step(h, dt, hbar)
     # psi' = -(i/hbar) h psi and phibar' = phibar (i/hbar) h: z = +-w for each
     delta_psi, delta_phibar = _rk4_increments((-1j * dt / hbar) * h)
     powers = {}
@@ -354,7 +358,9 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     ``record_every`` and for a shorter last interval; an interval whose
     increment overflows, as that of a growing mode can before the state
     does, is taken one step at a time and given up once the state overflows.
-    ``_maps``, if given, is what ``_step_maps`` returns for these arguments.
+    The recorded rows are checked for overflow together, after the steps.
+    ``_maps``, if given, is what ``_step_maps`` returns for these arguments,
+    built after the caller's own :func:`check_step`.
 
     Raises
     ------
@@ -371,6 +377,7 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
         raise ValueError("record_every must be positive")
     hbar = state0.hbar
     if _maps is None:
+        check_step(h, dt, hbar)
         _maps = _step_maps(h, dt, hbar, steps, record_every)
     delta_psi, delta_phibar, powers = _maps
 
@@ -379,14 +386,13 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     phibar_rows = np.empty_like(psi_rows)
     psi, phibar = state0.psi, state0.phibar
     psi_rows[0], phibar_rows[0] = psi, phibar
-    # overflow is a detected condition here, not a warning; inf and nan
-    # survive every later product, so checking recorded steps catches it
+    # overflow is a detected condition here, not a warning; inf and nan survive
+    # every later step, so the first non-finite row is the first overflow
     with np.errstate(over="ignore", invalid="ignore"):
         t = state0.t + np.array(ends) * dt  # a time beyond the float range is inf
         t[0] = state0.t
         for row in range(1, len(ends)):
-            k = ends[row]
-            m = k - ends[row - 1]
+            m = ends[row] - ends[row - 1]
             if powers[m] is None:
                 for i in range(1, m + 1):
                     psi = psi + delta_psi @ psi
@@ -399,9 +405,17 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
                 e_psi, e_phibar = powers[m]
                 psi = psi + e_psi @ psi
                 phibar = phibar + phibar @ e_phibar
-            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
-                raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
             psi_rows[row], phibar_rows[row] = psi, phibar
+            # an overflow in a stepped interval ends the run too, as each later stepped
+            # interval would take another _FINITE_CHECK_EVERY steps; the rows left unset
+            # come after this non-finite one, so none of them can be the first
+            if powers[m] is None and not (
+                    np.all(np.isfinite(psi)) and np.all(np.isfinite(phibar))):
+                break
+    bad = _first_non_finite_row(psi_rows, phibar_rows)
+    if bad is not None:
+        k = ends[bad]
+        raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
     return Trajectory(t, psi_rows, phibar_rows, hbar)
 
 

@@ -282,8 +282,10 @@ def initial_sweep_state(path: SweepPath, csq, hbar: float = 1.0) -> StatePair:
 # step count.  Pieces end at every block edge as well as at every sample, which fixes
 # the rounding of every composed piece and so of the sweep's output.
 _BLOCK = 1024
-# blocks whose pieces are built and composed in one call
-_CHUNK = 4
+# blocks whose pieces are built and composed in one call.  At 6 the next chunk reuses the
+# heap a chunk frees (see _rk4_increments) at every environment size tested; at 8 it did
+# not at most of them, and the reuse does not follow the chunk size monotonically
+_CHUNK = 6
 
 # The sweep kernel's 2x2 matrices all have the form [[a, b], [conj(b), conj(a)]]:
 # -i*dt*h/hbar has it (a = -i*dt*z/hbar with z real, b = -i*dt*(x + iy)/hbar),
@@ -398,12 +400,15 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
     states[0] = x
     mark_list = marks.tolist()
     m = 1
+    # every piece's end, marks and block edges; a chunk's cuts run from its first step
+    # to its last, both block edges or the run's ends, so both are among them
+    cuts_all = np.union1d(marks, np.arange(0, steps, _BLOCK))
+    chunk_edges = [*range(0, steps, _CHUNK * _BLOCK), steps]
+    at = np.searchsorted(cuts_all, chunk_edges).tolist()
     # overflow is a detected condition here, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, steps, _CHUNK * _BLOCK):
-            k1 = min(k0 + _CHUNK * _BLOCK, steps)
-            inner = marks[np.searchsorted(marks, k0, "right"):np.searchsorted(marks, k1)]
-            cuts = np.union1d(inner, np.append(np.arange(k0, k1, _BLOCK), k1))
+        for k0, k1, lo, hi in zip(chunk_edges, chunk_edges[1:], at, at[1:]):
+            cuts = cuts_all[lo:hi + 1]
             pa, pb = _compose(*_rk4_increments(path, dt_eff, hbar, steps, k0, k1), cuts - k0)
             # phibar's generator is (conj(a), -conj(b)) of psi's and a piece is a real
             # polynomial in generators, so phibar's pieces follow from psi's, bit for bit

@@ -48,6 +48,29 @@ def test_parser_refuses_a_bad_argv(argv):
     assert exc.value.code == 2
 
 
+def test_main_shares_one_parser_and_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    # the parser is built once per process; a refused argv leaves it as it was
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "--config", "c"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code = "import sys; from biham.cli import main; sys.exit(main(sys.argv[1:]))"
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        command = load_config(fixture)["command"]
+        fresh = tmp_path / fixture.stem / "fresh"
+        fresh.mkdir(parents=True)
+        assert run_python(code, command, "--config", str(fixture), "--out", str(fresh)) \
+            == ("", "")
+        written = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        for call in ("first", "second"):
+            out = tmp_path / fixture.stem / call
+            out.mkdir()
+            assert run_cli(command, fixture, out) == 0
+            assert capsys.readouterr() == ("", "")
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == written, fixture.name
+
+
 class TestValidate:
     def test_valid_fixtures_have_no_diagnostics(self):
         for fixture in FIXTURES.glob("*.json"):

@@ -21,7 +21,7 @@ from biham.errors import NonFinite, StepTooLarge, ZeroModalCoefficient
 from biham.lorentzian import LorentzianParams, lorentzian_matrix, lorentzian_uv
 from biham.spectral import biorthogonal_decompose
 
-from helpers import random_diagonalizable, random_hermitian, random_state
+from helpers import random_diagonalizable, random_hermitian, random_state, random_unitary
 
 
 def _conjugate_pair(psi):
@@ -272,6 +272,70 @@ class TestStackedRecords:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0.0
+
+
+def per_row_overflow(state0, maps, steps, record_every):
+    """``(step, psi finite, phibar finite)`` at the first recorded step whose state overflows.
+
+    The reference checks the state after every recorded interval, stepping an
+    interval without a power one step at a time to its end.
+    """
+    delta_psi, delta_phibar, powers = maps
+    psi, phibar = state0.psi, state0.phibar
+    ends = [*range(0, steps, record_every), steps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, k in zip(ends, ends[1:]):
+            if powers[k - start] is None:
+                for _ in range(k - start):
+                    psi = psi + delta_psi @ psi
+                    phibar = phibar + phibar @ delta_phibar
+            else:
+                e_psi, e_phibar = powers[k - start]
+                psi, phibar = psi + e_psi @ psi, phibar + phibar @ e_phibar
+            psi_ok, phibar_ok = bool(np.isfinite(psi).all()), bool(np.isfinite(phibar).all())
+            if not (psi_ok and phibar_ok):
+                return k, psi_ok, phibar_ok
+    return None
+
+
+class TestStackedFiniteCheck:
+    """The recorded rows are checked for overflow together, after the steps.
+
+    The state starts near the float limit and a mode grows by ``exp(0.1)`` a
+    step, so it overflows near step 190.  An interval whose power is dropped,
+    as an overflowing one is, is stepped singly.
+    """
+
+    @pytest.mark.parametrize("grows, steps, record_every, stepped, step", [
+        ("both", 400, 30, (), 210),        # powered throughout, overflowing partway
+        ("psi", 200, 180, (20,), 200),     # a powered interval, then a stepped last one
+        ("psi", 230, 100, (100,), 200),    # stepped intervals, then a powered last one
+        ("psi", 400, 30, (), 210),         # psi alone overflows
+        ("phibar", 400, 30, (), 210),      # phibar alone overflows
+    ])
+    def test_names_the_step_a_per_row_check_names(self, grows, steps, record_every, stepped,
+                                                  step):
+        rng = np.random.default_rng(steps + record_every)
+        dt = 0.1
+        if grows == "both":  # psi grows along one mode, phibar along another
+            u = random_unitary(rng, 3)
+            h = u @ np.diag([1j, -1j, 0.3]) @ u.conj().T
+        else:  # -i h = diag(1, .5, .5): psi grows and phibar decays; -i h = -diag: the reverse
+            h = (1j if grows == "psi" else -1j) * np.diag([1.0, 0.5, 0.5]).astype(complex)
+        st = StatePair(psi=1e300 * random_state(rng, 3), phibar=1e300 * random_state(rng, 3),
+                       t=0.25)
+        delta_psi, delta_phibar, powers = _step_maps(h, dt, 1.0, steps, record_every)
+        assert set(stepped) < set(powers) and None not in powers.values()
+        maps = delta_psi, delta_phibar, {m: None if m in stepped else power
+                                         for m, power in powers.items()}
+
+        k, psi_ok, phibar_ok = per_row_overflow(st, maps, steps, record_every)
+        assert k == step
+        assert (psi_ok, phibar_ok) == {"both": (False, False), "psi": (False, True),
+                                       "phibar": (True, False)}[grows]
+        with pytest.raises(NonFinite) as exc:
+            rk4_trajectory(h, st, dt, steps, record_every=record_every, _maps=maps)
+        assert str(exc.value) == f"state overflowed by step {k} (t={st.t + k * dt:.6g})"
 
 
 class TestObservables:

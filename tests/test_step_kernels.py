@@ -512,7 +512,8 @@ def test_sweep_chunks_reuse_their_heap(pad):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), PAD="x" * pad)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    # 40 chunks of 4096 steps; faulting each chunk's heap back in costs about 170 pages
+    # 27 chunks of 6144 steps; with chunks of 8 blocks, whose freed heap the next chunk
+    # does not reuse at most environment sizes, a sweep faults about 190 pages back in
     assert int(out) <= 100
 
 

@@ -235,8 +235,8 @@ def test_evolve_takes_an_svd_only_where_the_bound_is_open(tmp_path, monkeypatch,
     cfg = {"command": "evolve",
            "params": {"matrix": matrix(h), "psi0": vector(unit(rng, 8)), "method": "rk4",
                       "t_final": 100 * dt, "dt": dt, "snapshot_every": 10}}
-    # the guard runs in the preflight and again in rk4_trajectory
-    assert run(tmp_path, cfg, monkeypatch) == [(8, 8)] * (2 if open_band else 0)
+    # the guard runs once, in the preflight; the run builds its step maps without it
+    assert run(tmp_path, cfg, monkeypatch) == [(8, 8)] * (1 if open_band else 0)
 
 
 def test_condition_number_is_computed_when_read(monkeypatch):
