@@ -654,23 +654,36 @@ def test_sweep_equals_the_two_field_kernel_bitwise(seed):
     assert_bitwise_sweep(sweep_adiabatic(path, state0, 0.01), two_field_sweep(path, state0, 0.01))
 
 
-C = lorentzian._CHUNK
+def chunk_cut_cases(C):
+    return [
+        (7, 4 * C * 7, 5),           # marks on the edges of chunks
+        (7, 4 * C * 7, 4 * C + 1),   # marks on every block edge
+        (7, 3 * C * 7 + 2, 4),       # pieces that span block edges
+        (64, C * 64 - 1, 2),         # one chunk, last block short
+        (64, C * 64 + 1, 50),        # a one-step last chunk
+        (B, 2 * C * B, 3),           # marks on the edges of full chunks
+        (B, 2 * C * B + 5, 2),       # samples far apart: pieces are whole blocks
+    ]
 
 
-@pytest.mark.parametrize("block, steps, samples", [
-    (7, 4 * C * 7, 5),           # marks on the edges of chunks
-    (7, 4 * C * 7, 4 * C + 1),   # marks on every block edge
-    (7, 3 * C * 7 + 2, 4),       # pieces that span block edges
-    (64, C * 64 - 1, 2),         # one chunk, last block short
-    (64, C * 64 + 1, 50),        # a one-step last chunk
-    (B, 2 * C * B, 3),           # marks on the edges of full chunks
-    (B, 2 * C * B + 5, 2),       # samples far apart: pieces are whole blocks
-])
-def test_sweep_chunks_keep_the_block_cuts(monkeypatch, block, steps, samples):
+def assert_chunked_sweep_bitwise(monkeypatch, chunk, block, steps, samples):
+    monkeypatch.setattr(lorentzian, "_CHUNK", chunk)
     monkeypatch.setattr(lorentzian, "_BLOCK", block)
     path = SweepPath.linear((0.4, -0.3, -2.0), (0.9, 0.5, -3.5), T=steps * 0.01, samples=samples)
     state0 = initial_sweep_state(path, [1.0, 0.3], hbar=0.8)
     assert_bitwise_sweep(sweep_adiabatic(path, state0, 0.01), two_field_sweep(path, state0, 0.01))
+
+
+@pytest.mark.parametrize("block, steps, samples", chunk_cut_cases(4))
+def test_sweep_chunks_keep_the_block_cuts(monkeypatch, block, steps, samples):
+    # chunks of four blocks; an even chunk size other than the shipped one
+    assert_chunked_sweep_bitwise(monkeypatch, 4, block, steps, samples)
+
+
+@pytest.mark.parametrize("block, steps, samples", chunk_cut_cases(lorentzian._CHUNK))
+def test_sweep_chunks_of_the_shipped_size_keep_the_block_cuts(monkeypatch, block, steps,
+                                                              samples):
+    assert_chunked_sweep_bitwise(monkeypatch, lorentzian._CHUNK, block, steps, samples)
 
 
 def test_sweep_fixture_equals_the_two_field_kernel_bitwise():
