@@ -24,7 +24,7 @@ _MIN_POINTS = 8
 
 # grids above this are refused: the run decomposes a dense N x N generator and
 # raises it to powers, at a cost cubic in N (at this size, 20 480 steps recorded
-# 11 times took 23-26 s and 152 MB peak RSS on one BLAS thread)
+# 11 times took 11-14 s and 212 MB peak RSS on one BLAS thread of a 2-vCPU VM)
 MAX_SITES = 1024
 
 

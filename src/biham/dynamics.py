@@ -157,9 +157,8 @@ def expand_state(system: BiorthogonalSystem, psi) -> np.ndarray:
     return system.left.conj().T @ psi
 
 
-def default_modal_constants(system: BiorthogonalSystem, psi,
-                            cutoff: float = ABSENT_MODE_CUTOFF) -> np.ndarray:
-    """Modal constants ``|c_j|^2`` of ``psi``, zeroing modes below ``cutoff``.
+def default_modal_constants(system: BiorthogonalSystem, psi) -> np.ndarray:
+    """Modal constants ``|c_j|^2`` of ``psi``, zeroing modes at or below ``ABSENT_MODE_CUTOFF``.
 
     This matches the convenient real-spectrum initialization
     ``|cbar_j(0)| = |c_j(0)|``.
@@ -167,7 +166,7 @@ def default_modal_constants(system: BiorthogonalSystem, psi,
     c = expand_state(system, psi)
     with np.errstate(over="ignore"):  # an overflow is inf here, NonFinite in conjugate_field
         csq = np.abs(c) ** 2
-    csq[np.abs(c) <= cutoff] = 0.0
+    csq[np.abs(c) <= ABSENT_MODE_CUTOFF] = 0.0
     return csq
 
 

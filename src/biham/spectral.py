@@ -28,6 +28,9 @@ DEFAULT_TOL = 1e-8
 # |<a_i|a_j>| above this marks two eigenvector columns as numerically parallel
 _PARALLEL_OVERLAP = 1.0 - 1e-6
 
+# largest |Im E| of a real spectrum, relative to the spectrum scale
+REAL_SPECTRUM_TOL = 1e-10
+
 
 def as_square_matrix(h) -> np.ndarray:
     """Validate and return ``h`` as a square, finite, complex ndarray."""
@@ -230,10 +233,8 @@ def completeness_residual(system: BiorthogonalSystem) -> float:
     return float(np.max(np.abs(proj - np.eye(system.n))))
 
 
-def spectrum_is_real(system: BiorthogonalSystem, tol: float = 1e-10) -> bool:
-    """True iff every eigenvalue is real to within ``tol`` relative to the spectrum scale."""
+def spectrum_is_real(system: BiorthogonalSystem) -> bool:
+    """True iff every eigenvalue is real to within ``REAL_SPECTRUM_TOL`` of the spectrum scale."""
     scale = float(np.max(np.abs(system.eigenvalues))) if system.eigenvalues.size else 0.0
     worst = float(np.max(np.abs(system.eigenvalues.imag))) if system.eigenvalues.size else 0.0
-    if scale == 0.0:
-        return worst <= tol
-    return worst <= tol * scale
+    return worst <= REAL_SPECTRUM_TOL * (scale or 1.0)  # an absolute bound at scale 0

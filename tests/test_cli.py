@@ -291,8 +291,8 @@ def test_main_adds_no_handler_to_the_root_logger(tmp_path):
     assert out == "[]\n"
 
 
-# decompose runs cond(S) beside its residuals, and verify with phibar0 its state
-# checks beside the decomposition: the same artifacts and errors as one thread
+# verify with phibar0 runs its state checks beside the decomposition: the same
+# artifacts and errors as one thread
 
 def verify_with_phibar0(**params):
     cfg = load_config(FIXTURES / "verify_random.json")
@@ -341,13 +341,14 @@ def test_verify_state_check_overflow_beside_the_decomposition(tmp_path, capsys, 
     assert run_refused(tmp_path, capsys, cfg) == (3, "non_finite")
 
 
+# decompose takes its residuals, then cond(S), on the calling thread
+
 @pytest.mark.parametrize("residual, cond, error", [
     (NotDiagonalizable, None, "not_diagonalizable"),
     (None, NonFinite, "non_finite"),
     (NotDiagonalizable, NonFinite, "not_diagonalizable"),  # the residuals come first
-], ids=["main", "helper", "both"])
-def test_decompose_error_in_either_thread(tmp_path, capsys, monkeypatch, residual, cond,
-                                          error):
+], ids=["residuals", "cond", "both"])
+def test_decompose_error_in_either_step(tmp_path, capsys, monkeypatch, residual, cond, error):
     if residual is not None:
         monkeypatch.setattr(spectral, "completeness_residual", raiser(residual))
     if cond is not None:
@@ -356,20 +357,18 @@ def test_decompose_error_in_either_thread(tmp_path, capsys, monkeypatch, residua
     assert run_refused(tmp_path, capsys, cfg) == (3, error)
 
 
-def test_decompose_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypatch):
-    # the residuals fail at once, while the SVD on the helper is still running
-    done = []
+def test_decompose_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    cond = spectral.BiorthogonalSystem.cond
 
-    def slow_cond(system):
-        time.sleep(0.2)
-        done.append(True)
-        return 1.0
+    def record_thread(system):
+        threads.append(threading.current_thread())
+        return cond.__get__(system)
 
-    monkeypatch.setattr(spectral, "completeness_residual", raiser(NotDiagonalizable))
-    monkeypatch.setattr(spectral.BiorthogonalSystem, "cond", property(slow_cond))
-    cfg = load_config(FIXTURES / "decompose_upper.json")
-    assert run_refused(tmp_path, capsys, cfg) == (3, "not_diagonalizable")
-    assert done == [True]
+    monkeypatch.setattr(cli, "_beside", raiser(AssertionError))
+    monkeypatch.setattr(spectral.BiorthogonalSystem, "cond", property(record_thread))
+    assert run_cli("decompose", FIXTURES / "decompose_upper.json", tmp_path) == 0
+    assert threads == [threading.current_thread()]
 
 
 # continuum builds its RK4 step maps beside the lattice eigenbasis and phibar0

@@ -290,10 +290,30 @@ CONTRACT_CASES.update({
 })
 
 
+def continuum_with(key, **fields):
+    """The continuum fixture with ``params[key]`` replaced by ``fields``."""
+    return {**CONTINUUM, "params": {**CONTINUUM["params"], key: fields}}
+
+
+# faults found past the schema: a document that is not an object, a csq of the
+# wrong length, and a field that a potential or psi0 kind needs
+CONTRACT_CASES.update({
+    "config_not_an_object": ("[]", 2, "config_error"),
+    "evolve_csq_wrong_length": (json.dumps(evolve_config(csq=[1.0])), 2, "config_error"),
+    "complex_gaussian_without_width": (json.dumps(continuum_with(
+        "potential", kind="complex_gaussian", center=8.0)), 2, "config_error"),
+    "gaussian_psi0_without_center": (json.dumps(continuum_with(
+        "psi0", kind="gaussian", width=1.2)), 2, "config_error"),
+    "plane_wave_psi0_without_mode": (json.dumps(continuum_with("psi0", kind="plane_wave")),
+                                     2, "config_error"),
+})
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_contract_on_failing_configs(tmp_path, case):
     text, exit_code, error = CONTRACT_CASES[case]
-    command = json.loads(text)["command"]
+    doc = json.loads(text)
+    command = doc["command"] if isinstance(doc, dict) else "decompose"
     config = tmp_path / "cfg.json"
     config.write_text(text)
     out = tmp_path / "out"

@@ -18,8 +18,10 @@ def load_tool():
     return module
 
 
-@pytest.mark.parametrize("fixture", ["evolve_phase_flip.json", "continuum_gaussian.json"],
-                         ids=["exact", "continuum"])
+@pytest.mark.parametrize("fixture", [
+    "evolve_phase_flip.json", "continuum_gaussian.json", "decompose_upper.json",
+    "verify_random.json", "sweep_reference.json",
+], ids=["exact", "continuum", "decompose", "verify", "sweep"])
 def test_digest_of_a_fixture_is_stable(fixture):
     tool = load_tool()
     path = ROOT / "tests" / "fixtures" / fixture
