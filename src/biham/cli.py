@@ -412,11 +412,10 @@ def _initial_state(system, inputs, params, seed):
         rng = np.random.default_rng(seed)
         psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi0 /= np.linalg.norm(psi0)
+    hbar = params.get("hbar", 1.0)
     if phibar0 is None:
-        csq = np.asarray(params["csq"], dtype=float) if "csq" in params \
-            else dynamics.default_modal_constants(system, psi0)
-        phibar0 = dynamics.conjugate_field(system, psi0, csq)
-    return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=params.get("hbar", 1.0))
+        return dynamics.initial_state(system, psi0, params.get("csq"), hbar)
+    return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=hbar)
 
 
 def _beside(main, side):

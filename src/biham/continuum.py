@@ -6,9 +6,10 @@ generator is a (non-Hermitian for ``Im V != 0``) matrix that module
 ``rho_i = phibar_i psi_i`` integrates to the conserved charge
 ``Q = sum_i rho_i dx``, and the matching site current satisfies a discrete
 continuity equation up to the stencil order.  The lattice is a discrete
-system: :func:`evolve_lattice` runs :func:`biham.dynamics.rk4_trajectory` on
-the generator, and its records are :class:`~biham.dynamics.StatePair` items.
-Everything verified here is dimension-independent; one dimension suffices.
+system: its state is a :class:`~biham.dynamics.StatePair`, it evolves by
+:func:`biham.dynamics.rk4_trajectory` on the :func:`discretize` generator, and
+its records are a :class:`~biham.dynamics.Trajectory`.  Everything verified
+here is dimension-independent; one dimension suffices.
 """
 
 import math
@@ -42,7 +43,7 @@ class ContinuumConfig:
             raise ValueError(f"need at least {_MIN_POINTS} grid points")
         if self.N > MAX_SITES:
             raise ValueError(f"N exceeds the limit of {MAX_SITES} grid points")
-        if self.L <= 0 or self.m <= 0 or self.hbar <= 0:
+        if not (self.L > 0 and self.m > 0 and self.hbar > 0):
             raise ValueError("L, m and hbar must be positive")
         try:
             coeff = self.kinetic_coeff
@@ -64,27 +65,6 @@ class ContinuumConfig:
 
     def grid(self) -> np.ndarray:
         return np.arange(self.N) * self.dx
-
-
-@dataclass
-class LatticeField:
-    """Field samples psi(x_i), phibar(x_i) and the potential V(x_i) at time t."""
-
-    psi: np.ndarray
-    phibar: np.ndarray
-    V: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-        self.phibar = np.asarray(self.phibar, dtype=complex)
-        self.V = np.asarray(self.V, dtype=complex)
-        if not (self.psi.shape == self.phibar.shape == self.V.shape):
-            raise ValueError("psi, phibar and V must share one grid")
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.phibar * self.psi
 
 
 def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
@@ -112,12 +92,9 @@ def discretize(config: ContinuumConfig, V) -> np.ndarray:
     return h
 
 
-def lattice_charge(field, dx: float) -> complex:
-    """Charge ``Q = sum_i phibar_i psi_i dx`` (rectangle rule, exact under periodicity).
-
-    ``field`` is a :class:`LatticeField` or a recorded :class:`~biham.dynamics.StatePair`.
-    """
-    return complex(np.sum(field.phibar * field.psi) * dx)
+def lattice_charge(state: dynamics.StatePair, dx: float) -> complex:
+    """Charge ``Q = sum_i phibar_i psi_i dx`` (rectangle rule, exact under periodicity)."""
+    return complex(np.sum(state.phibar * state.psi) * dx)
 
 
 def _current(psi: np.ndarray, phibar: np.ndarray, config: ContinuumConfig) -> np.ndarray:
@@ -134,9 +111,9 @@ def _current(psi: np.ndarray, phibar: np.ndarray, config: ContinuumConfig) -> np
     return (1j * config.hbar / (2.0 * config.m)) * net
 
 
-def lattice_current(field: LatticeField, config: ContinuumConfig) -> np.ndarray:
+def lattice_current(state: dynamics.StatePair, config: ContinuumConfig) -> np.ndarray:
     """Site current ``j_i = (i hbar / 2m) (phibar grad psi - psi grad phibar)_i``."""
-    return _current(field.psi, field.phibar, config)
+    return _current(state.psi, state.phibar, config)
 
 
 # entries per stacked array of one pass of continuity_residuals: its temporaries
@@ -144,7 +121,7 @@ def lattice_current(field: LatticeField, config: ContinuumConfig) -> np.ndarray:
 _RESIDUAL_BLOCK = 2 ** 18
 
 
-def continuity_residuals(snapshots, config: ContinuumConfig) -> np.ndarray:
+def continuity_residuals(snapshots: dynamics.Trajectory, config: ContinuumConfig) -> np.ndarray:
     """Worst site violation of the discrete continuity equation at each interior snapshot.
 
     Uses central differences in both time (across snapshots) and space.  The
@@ -152,22 +129,15 @@ def continuity_residuals(snapshots, config: ContinuumConfig) -> np.ndarray:
     current orientation of :func:`lattice_current`, so the residual measured
     here is ``|d(rho)/dt - div j|``.  Entry ``k - 1`` is snapshot ``k``'s,
     with the time step ``t[k] - t[k-1]``: the value that the three snapshots
-    around it give alone.  A :class:`~biham.dynamics.Trajectory` is read in
-    place; other snapshots are stacked first.  Rows are taken in blocks, each
-    with the bits of the whole stacked pass.
+    around it give alone.  The trajectory is read in place, its rows in
+    blocks, each with the bits of the whole stacked pass.
 
     Raises
     ------
     InsufficientSnapshots
         If fewer than three snapshots are supplied.
     """
-    if isinstance(snapshots, dynamics.Trajectory):
-        times, psi, phibar = snapshots.t, snapshots.psi, snapshots.phibar
-    else:
-        snapshots = list(snapshots)
-        times = np.array([s.t for s in snapshots])
-        psi = np.array([s.psi for s in snapshots])
-        phibar = np.array([s.phibar for s in snapshots])
+    times, psi, phibar = snapshots.t, snapshots.psi, snapshots.phibar
     if len(times) < 3:
         raise InsufficientSnapshots(
             f"need at least 3 equally spaced snapshots, got {len(times)}"
@@ -191,28 +161,12 @@ def continuity_residuals(snapshots, config: ContinuumConfig) -> np.ndarray:
     return out
 
 
-def continuity_residual(snapshots, config: ContinuumConfig) -> float:
+def continuity_residual(snapshots: dynamics.Trajectory, config: ContinuumConfig) -> float:
     """Worst site/time violation of the discrete continuity equation.
 
     The largest of :func:`continuity_residuals`, with its checks and errors.
     """
     return float(np.max(continuity_residuals(snapshots, config)))
-
-
-def hamiltonian_density_sum(field: LatticeField, config: ContinuumConfig) -> complex:
-    """Integrated Hamiltonian density ``sum_i phibar_i (h psi)_i dx``."""
-    h = discretize(config, field.V)
-    return complex(field.phibar @ (h @ field.psi) * config.dx)
-
-
-def phase_rotated(field: LatticeField, alpha: float) -> LatticeField:
-    """Intrinsic symmetry transform ``psi -> e^{i alpha} psi, phibar -> e^{-i alpha} phibar``."""
-    return LatticeField(
-        psi=np.exp(1j * alpha) * field.psi,
-        phibar=np.exp(-1j * alpha) * field.phibar,
-        V=field.V,
-        t=field.t,
-    )
 
 
 def gaussian_packet(x: np.ndarray, center: float, width: float,
@@ -238,24 +192,11 @@ def complex_gaussian_potential(x: np.ndarray, center: float, width: float,
     return amplitude * np.exp(-((x - center) ** 2) / (2.0 * np.float64(width) ** 2))
 
 
-def initial_lattice_state(config: ContinuumConfig, V, psi0) -> LatticeField:
-    """Build the t=0 field with the conjugate part from the lattice eigenbasis.
+def initial_lattice_state(config: ContinuumConfig, V, psi0) -> dynamics.StatePair:
+    """The t=0 state pair, its conjugate field from the lattice eigenbasis.
 
-    The modal constants default to ``|c_j(0)|^2``, so for real potentials the
-    conjugate field reduces to ``psi^H``.
+    The modal constants are ``|c_j(0)|^2`` (:func:`biham.dynamics.initial_state`),
+    so for real potentials the conjugate field reduces to ``psi^H``.
     """
-    V = np.asarray(V, dtype=complex)
-    psi0 = np.asarray(psi0, dtype=complex)
     system = biorthogonal_decompose(discretize(config, V))
-    csq = dynamics.default_modal_constants(system, psi0)
-    phibar = dynamics.conjugate_field(system, psi0, csq)
-    return LatticeField(psi=psi0, phibar=phibar, V=V, t=0.0)
-
-
-def evolve_lattice(config: ContinuumConfig, field0: LatticeField, dt: float,
-                   steps: int, record_every: int = 1) -> dynamics.Trajectory:
-    """RK4-evolve a lattice field; returns the recorded states, stacked."""
-    state0 = dynamics.StatePair(psi=field0.psi, phibar=field0.phibar,
-                                t=field0.t, hbar=config.hbar)
-    return dynamics.rk4_trajectory(discretize(config, field0.V), state0, dt, steps,
-                                   record_every=record_every)
+    return dynamics.initial_state(system, psi0, hbar=config.hbar)

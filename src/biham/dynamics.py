@@ -69,8 +69,9 @@ class StatePair:
 
     The components carry the full canonical phase-space content: the
     coordinates are ``i*hbar*psi_k`` and the momenta ``phibar_k``, so the
-    phase-space dimension is ``2n``.  Arrays are stored read-only; evolution
-    returns new instances.
+    phase-space dimension is ``2n``.  Arrays are stored read-only, and a
+    writeable one is copied first, so the caller's array stays writeable;
+    evolution returns new instances.  The state of a lattice field is one too.
     """
 
     psi: np.ndarray
@@ -81,11 +82,13 @@ class StatePair:
     def __post_init__(self):
         psi = _state_vector(self.psi)
         phibar = _state_vector(self.phibar, psi.shape[0])
+        # a read-only input, such as a Trajectory row, is shared as it is
+        psi, phibar = (a.copy() if a.flags.writeable else a for a in (psi, phibar))
         for a in (psi, phibar):
             a.setflags(write=False)
         self.psi = psi
         self.phibar = phibar
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
     @property
@@ -209,6 +212,18 @@ def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
     return phibar
 
 
+def initial_state(system: BiorthogonalSystem, psi0, csq=None,
+                  hbar: float = DEFAULT_HBAR) -> StatePair:
+    """State pair at ``t = 0`` of ``psi0`` and its conjugate field for modal constants ``csq``.
+
+    ``csq`` defaults to :func:`default_modal_constants`, ``|c_j|^2`` with the
+    absent-mode cutoff, so for Hermitian ``h`` the conjugate field is ``psi0^H``.
+    """
+    if csq is None:
+        csq = default_modal_constants(system, psi0)
+    return StatePair(psi=psi0, phibar=conjugate_field(system, psi0, csq), hbar=hbar)
+
+
 def _first_non_finite_row(psi: np.ndarray, phibar: np.ndarray):
     """Index of the first row of ``psi`` or ``phibar`` with a non-finite entry, or None."""
     bad = ~(np.isfinite(psi).all(axis=1) & np.isfinite(phibar).all(axis=1))
@@ -257,7 +272,7 @@ def check_step(h, dt: float, hbar: float) -> None:
     guard passes without an SVD; ``||h||_2`` is computed only otherwise.
     ``ValueError`` if ``dt`` is not positive or ``h`` has a non-finite entry.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
@@ -431,3 +446,13 @@ def overlap(state: StatePair) -> complex:
 def right_norm(state: StatePair) -> float:
     """Norm ``<psi|psi>`` of the right state; not conserved for non-Hermitian ``h``."""
     return float(np.real(np.vdot(state.psi, state.psi)))
+
+
+def phase_rotated(state: StatePair, alpha: float) -> StatePair:
+    """Intrinsic symmetry transform ``psi -> e^{i alpha} psi, phibar -> e^{-i alpha} phibar``.
+
+    The Noether symmetry of every system: it leaves ``<phibar|h|psi>`` and the
+    overlap unchanged for any ``h``.
+    """
+    return replace(state, psi=np.exp(1j * alpha) * state.psi,
+                   phibar=np.exp(-1j * alpha) * state.phibar)

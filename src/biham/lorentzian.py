@@ -191,7 +191,7 @@ class SweepPath:
     samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError("duration T must be positive")
         if self.samples < 2:
             raise ValueError("at least two samples required")
@@ -230,12 +230,12 @@ def check_sweep_step(path: SweepPath, dt: float, hbar: float = 1.0) -> int:
 
     ``||h|| = |z| + hypot(x, y)`` is convex, so largest at an end.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     steps = step_count(path.T, dt)
     norm = max(path.params_at(0.0).spectral_norm, path.params_at(1.0).spectral_norm)
     ratio = path.T / steps * norm / hbar
-    if ratio > MAX_STEP_FRACTION:
+    if not ratio <= MAX_STEP_FRACTION:  # a nan ratio is refused too
         raise StepTooLarge(
             f"dt*||h||/hbar = {ratio:.3g} exceeds the stability guard {MAX_STEP_FRACTION}")
     return steps

@@ -156,7 +156,7 @@ def biorthogonal_decompose(h, tol: float = DEFAULT_TOL) -> BiorthogonalSystem:
         If an eigenvalue is beyond the float range.
     """
     h = as_square_matrix(h)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     evals, right = np.linalg.eig(h)
     if not np.all(np.isfinite(evals)):

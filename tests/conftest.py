@@ -10,9 +10,10 @@ def no_thread_outlives_its_test():
     The CLI runs part of two routes on a second thread, which it joins before
     it returns or raises: verify with phibar0 takes its state checks beside the
     decomposition, and continuum builds its step maps beside the lattice
-    eigenbasis.  In-process alternating pairs against the same work in order
-    measured both faster, verify in 58 of 80 pairs (median 430 against 446 ms
-    on n = 256) and continuum in 70 of 80 (12.5 against 14.6 ms at N = 64).
+    eigenbasis.  A route keeps its second thread only while in-process
+    alternating pairs against the same work in order show a gain larger than
+    the spread between the quartiles of the in-order runs; CHANGES.md records
+    the pairs measured for each route.
     """
     before = threading.active_count()
     yield

@@ -22,12 +22,10 @@ from biham.continuum import (
     ContinuumConfig,
     complex_gaussian_potential,
     continuity_residual,
-    evolve_lattice,
+    discretize,
     gaussian_packet,
-    hamiltonian_density_sum,
     initial_lattice_state,
     lattice_charge,
-    phase_rotated,
 )
 from biham.dynamics import (
     ModalCoordinates,
@@ -36,6 +34,7 @@ from biham.dynamics import (
     evolve_exact,
     evolve_rk4,
     overlap,
+    phase_rotated,
     right_norm,
     rk4_trajectory,
 )
@@ -221,17 +220,17 @@ def test_c08_continuum_conservation():
         x = config.grid()
         V = complex_gaussian_potential(x, center=8.0, width=1.5, amplitude=0.8 - 0.3j)
         psi0 = gaussian_packet(x, center=12.0, width=1.2, momentum=1.0)
-        field0 = initial_lattice_state(config, V, psi0)
-        q0 = lattice_charge(field0, config.dx)
+        h = discretize(config, V)
+        state0 = initial_lattice_state(config, V, psi0)
+        q0 = lattice_charge(state0, config.dx)
 
-        snaps = evolve_lattice(config, field0, dt=1e-4, steps=10000, record_every=500)
+        snaps = rk4_trajectory(h, state0, dt=1e-4, steps=10000, record_every=500)
         drift_stated = max(abs(lattice_charge(s, config.dx) - q0) for s in snaps)
         assert drift_stated <= 1e-8
 
         # 4th-order dt scaling, demonstrated above the float64 noise floor
         def drift(dt):
-            out = evolve_lattice(config, field0, dt=dt, steps=round(1.0 / dt),
-                                 record_every=20)
+            out = rk4_trajectory(h, state0, dt=dt, steps=round(1.0 / dt), record_every=20)
             return max(abs(lattice_charge(s, config.dx) - q0) for s in out)
 
         assert drift(0.005) <= drift(0.01) / 8.0
@@ -244,17 +243,18 @@ def test_c08_continuum_conservation():
                                              amplitude=0.8 - 0.3j)
             f0 = initial_lattice_state(
                 cfg, pot, gaussian_packet(xs, center=12.0, width=1.2, momentum=1.0))
-            series = evolve_lattice(cfg, f0, dt=2.5e-4, steps=8, record_every=2)
+            series = rk4_trajectory(discretize(cfg, pot), f0, dt=2.5e-4, steps=8,
+                                    record_every=2)
             return continuity_residual(series, cfg)
 
         ratio = residual(64) / residual(128)
         assert 3.0 <= ratio <= 5.5, f"dx-halving ratio {ratio:.2f}"
 
         # intrinsic phase symmetry leaves the Hamiltonian sum and Q unchanged
-        h_sum0 = hamiltonian_density_sum(field0, config)
+        h_sum0 = hamiltonian_value(h, state0) * config.dx
         for alpha in (0.1, 1.0, np.pi):
-            rotated = phase_rotated(field0, alpha)
-            assert abs(hamiltonian_density_sum(rotated, config) - h_sum0) <= 1e-12
+            rotated = phase_rotated(state0, alpha)
+            assert abs(hamiltonian_value(h, rotated) * config.dx - h_sum0) <= 1e-12
             assert abs(lattice_charge(rotated, config.dx) - q0) <= 1e-12
 
         elapsed = time.perf_counter() - start

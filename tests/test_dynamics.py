@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from biham.continuum import ContinuumConfig
 from biham.dynamics import (
     ModalCoordinates,
     StatePair,
     Trajectory,
     _step_maps,
+    check_step,
     conjugate_field,
     default_modal_constants,
     evolve_exact,
@@ -18,7 +20,13 @@ from biham.dynamics import (
     rk4_trajectory,
 )
 from biham.errors import NonFinite, StepTooLarge, ZeroModalCoefficient
-from biham.lorentzian import LorentzianParams, lorentzian_matrix, lorentzian_uv
+from biham.lorentzian import (
+    LorentzianParams,
+    SweepPath,
+    check_sweep_step,
+    lorentzian_matrix,
+    lorentzian_uv,
+)
 from biham.spectral import biorthogonal_decompose
 
 from helpers import random_diagonalizable, random_hermitian, random_state, random_unitary
@@ -359,3 +367,37 @@ def test_state_pair_validation():
         StatePair(psi=np.array([np.nan, 0.0]), phibar=np.ones(2))
     with pytest.raises(ValueError):
         StatePair(psi=np.ones(2), phibar=np.ones(2), hbar=0.0)
+
+
+def test_state_pair_copies_a_writeable_input():
+    psi, phibar = np.array([1.0, 2.0j]), np.array([0.5 + 0j, 1.0])
+    st = StatePair(psi=psi, phibar=phibar)
+    psi[0] = phibar[0] = 3.0  # the caller's arrays stay writeable and its own
+    assert st.psi[0] == 1.0 and st.phibar[0] == 0.5
+    for a in (st.psi, st.phibar):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+NAN = float("nan")
+_PATH = SweepPath.linear((0.5, 0.0, 2.0), (0.5, 0.0, 3.0), T=10.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: biorthogonal_decompose([[1, 1], [0, 1]], tol=NAN), ValueError, "tol must"),
+    (lambda: StatePair(psi=[1.0], phibar=[1.0], hbar=NAN), ValueError, "hbar must"),
+    (lambda: SweepPath.linear((0.5, 0.0, 2.0), (0.5, 0.0, 3.0), T=NAN), ValueError,
+     "duration T must"),
+    (lambda: check_step(np.eye(2), NAN, 1.0), ValueError, "dt must"),
+    (lambda: check_sweep_step(_PATH, NAN), ValueError, "dt must"),
+    (lambda: check_sweep_step(_PATH, 0.01, NAN), StepTooLarge, "= nan exceeds"),
+    (lambda: ContinuumConfig(L=NAN, N=16), ValueError, "L, m and hbar must"),
+    (lambda: ContinuumConfig(L=1.0, N=16, m=NAN), ValueError, "L, m and hbar must"),
+    (lambda: ContinuumConfig(L=1.0, N=16, hbar=NAN), ValueError, "L, m and hbar must"),
+], ids=["decompose_tol", "state_hbar", "sweep_T", "step_dt", "sweep_dt", "sweep_hbar",
+        "lattice_L", "lattice_m", "lattice_hbar"])
+def test_positivity_guards_refuse_nan(call, error, message):
+    # x <= 0 is False for nan, and so is every later comparison that x enters
+    with pytest.raises(error, match=message):
+        call()

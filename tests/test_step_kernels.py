@@ -307,8 +307,9 @@ def test_non_finite_generator_is_refused_silently(capfd):
 
 
 def test_nan_step_ratio_is_refused():
+    # a nan dt is refused earlier, as not positive
     with pytest.raises(StepTooLarge, match="nan"):
-        check_step(np.eye(2), float("nan"), 1.0)
+        check_step(np.eye(2), 0.1, float("nan"))
 
 
 def test_continuum_run_builds_its_generator_once(tmp_path, monkeypatch):
