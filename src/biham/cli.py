@@ -466,14 +466,6 @@ def _evolve_header(n: int) -> list:
             "overlap_re", "overlap_im", "right_norm"]
 
 
-def _right_norms(psi):
-    """``<psi|psi>`` of each row, each with the bits of ``np.vdot`` on that row."""
-    norm = np.empty(len(psi))
-    for row, p in enumerate(psi):
-        norm[row] = np.vdot(p, p).real
-    return norm
-
-
 def _run_evolve(inputs, params, seed):
     # the preflight decomposed h and built state0; for exact it checked the last record
     h, state0, steps = inputs["h"], inputs["state0"], inputs["steps"]
@@ -483,17 +475,15 @@ def _run_evolve(inputs, params, seed):
         # the preflight ran the step guard, so the maps are built without it
         maps = dynamics._step_maps(h, dt, state0.hbar, steps, every)
         traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every, _maps=maps)
-        t, psi, phibar = traj.t, traj.psi, traj.phibar
     else:
         durations = np.array([*range(0, steps, every), steps]) * dt
-        t = state0.t + durations
-        psi, phibar = dynamics.exact_records(inputs["system"], state0, durations)
+        traj = dynamics.exact_records(inputs["system"], state0, durations)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
-        overlap = np.sum(phibar * psi, axis=1)
-        norm = _right_norms(psi)
+        overlap = dynamics.overlap(traj)
     # a complex row viewed as floats is re, im per component: the header's order
     return _evolve_header(h.shape[0]), _finite_table(np.column_stack(
-        [t, psi.view(float), phibar.view(float), overlap.real, overlap.imag, norm]))
+        [traj.t, traj.psi.view(float), traj.phibar.view(float), overlap.real, overlap.imag,
+         dynamics.right_norm(traj)]))
 
 
 def _run_verify(inputs, params, seed):
@@ -586,10 +576,10 @@ def _run_continuum(inputs, params, seed):
     last = len(snaps) - 2 if steps % every != 0 else len(snaps) - 1
     resid = np.zeros(len(snaps))
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
-        q = np.sum(snaps.phibar * snaps.psi, axis=1) * config.dx
+        q = continuum.lattice_charge(snaps, config.dx)
         if last > 1:
             resid[1:last] = continuum.continuity_residuals(snaps[:last + 1], config)
-        norm = _right_norms(snaps.psi) * config.dx
+        norm = dynamics.right_norm(snaps) * config.dx
     table = _finite_table(np.column_stack([snaps.t, q.real, q.imag, resid, norm]))
     table[[0, *range(last, len(snaps))], 3] = np.nan  # no time stencil there
     return CONTINUUM_HEADER, table

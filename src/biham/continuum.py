@@ -92,28 +92,28 @@ def discretize(config: ContinuumConfig, V) -> np.ndarray:
     return h
 
 
-def lattice_charge(state: dynamics.StatePair, dx: float) -> complex:
-    """Charge ``Q = sum_i phibar_i psi_i dx`` (rectangle rule, exact under periodicity)."""
-    return complex(np.sum(state.phibar * state.psi) * dx)
+def lattice_charge(state, dx: float):
+    """Charge ``Q = sum_i phibar_i psi_i dx`` (rectangle rule, exact under periodicity).
 
-
-def _current(psi: np.ndarray, phibar: np.ndarray, config: ContinuumConfig) -> np.ndarray:
-    """Site current of each row of ``psi`` and ``phibar``.
-
-    Stacked rows pass numpy's threshold (256 KiB) for reusing an unnamed temporary
-    operand in place, which turns ``a * tmp`` into ``tmp * a``; numpy's fused
-    complex product rounds differently when its operands swap.  So no product
-    here takes an unnamed temporary, and a row has the same bits alone or stacked.
+    Of a state, or of each record of a trajectory: :func:`biham.dynamics.overlap` times ``dx``.
     """
-    grad_psi = _gradient(psi, config.dx)
-    grad_phibar = _gradient(phibar, config.dx)
-    net = phibar * grad_psi - psi * grad_phibar
+    return dynamics.overlap(state) * dx
+
+
+def lattice_current(state, config: ContinuumConfig) -> np.ndarray:
+    """Site current ``j_i = (i hbar / 2m) (phibar grad psi - psi grad phibar)_i``.
+
+    Of a state, or of each record of a trajectory.  Stacked rows pass numpy's
+    threshold (256 KiB) for reusing an unnamed temporary operand in place, which
+    turns ``a * tmp`` into ``tmp * a``; numpy's fused complex product rounds
+    differently when its operands swap.  So no product here takes an unnamed
+    temporary, and a row has the same bits alone or stacked.
+    """
+    grad_right = _gradient(state.psi, config.dx)
+    grad_left = _gradient(state.phibar, config.dx)
+    net = state.phibar * grad_right
+    net -= state.psi * grad_left
     return (1j * config.hbar / (2.0 * config.m)) * net
-
-
-def lattice_current(state: dynamics.StatePair, config: ContinuumConfig) -> np.ndarray:
-    """Site current ``j_i = (i hbar / 2m) (phibar grad psi - psi grad phibar)_i``."""
-    return _current(state.psi, state.phibar, config)
 
 
 # entries per stacked array of one pass of continuity_residuals: its temporaries
@@ -155,8 +155,7 @@ def continuity_residuals(snapshots: dynamics.Trajectory, config: ContinuumConfig
         # entries lo..hi-1 are snapshots lo+1..hi, whose windows span lo..hi+1
         rho = phibar[lo:hi + 2] * psi[lo:hi + 2]
         drho_dt = (rho[2:] - rho[:-2]) / (2.0 * gaps[lo:hi, None])
-        div_j = _gradient(_current(psi[lo + 1:hi + 1], phibar[lo + 1:hi + 1], config),
-                          config.dx)
+        div_j = _gradient(lattice_current(snapshots[lo + 1:hi + 1], config), config.dx)
         out[lo:hi] = np.max(np.abs(drho_dt - div_j), axis=1)  # np.max keeps a nan
     return out
 

@@ -16,8 +16,9 @@ For constant ``h`` one RK4 step is exactly its stability polynomial
 integrator builds ``D = R(z) - 1`` once, raises ``I + D`` to the number of
 steps between records by binary powering in increment form, and applies
 the result as one matrix-vector product per recorded interval and field.
-Building these step maps needs no eigenvector, and the recorded states are
-written into stacked arrays, a :class:`Trajectory`.
+Building these step maps needs no eigenvector.  Both propagators return a
+:class:`Trajectory`, of which :func:`overlap` and :func:`right_norm` give one
+value per record.
 """
 
 from collections.abc import Sequence
@@ -230,8 +231,8 @@ def _first_non_finite_row(psi: np.ndarray, phibar: np.ndarray):
     return int(bad.argmax()) if bad.any() else None
 
 
-def exact_records(system: BiorthogonalSystem, state0: StatePair, durations):
-    """``(psi, phibar)``, row ``k`` the state pair propagated by ``durations[k]``.
+def exact_records(system: BiorthogonalSystem, state0: StatePair, durations) -> Trajectory:
+    """Records of ``state0`` propagated by each of ``durations``, at ``state0.t + durations``.
 
     ``c_j(t) = c_j(0) exp(-i E_j t / hbar)`` and
     ``cbar_j(t) = cbar_j(0) exp(+i E_j t / hbar)``; the overlap is preserved
@@ -253,16 +254,16 @@ def exact_records(system: BiorthogonalSystem, state0: StatePair, durations):
         cbar = cbar0 / phase
         psi = (system.right @ c[:, :, None])[:, :, 0]
         phibar = (system.left.conj() @ cbar[:, :, None])[:, :, 0]
+        t = state0.t + durations  # a time beyond the float range is inf
     bad = _first_non_finite_row(psi, phibar)
     if bad is not None:
-        raise NonFinite(f"state overflowed by t={state0.t + durations[bad]:.6g}")
-    return psi, phibar
+        raise NonFinite(f"state overflowed by t={t[bad]:.6g}")
+    return Trajectory(t, psi, phibar, state0.hbar)
 
 
 def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> StatePair:
-    """Propagate a state pair by duration ``t``: the one-row case of :func:`exact_records`."""
-    psi, phibar = exact_records(system, state0, [t])
-    return StatePair(psi=psi[0], phibar=phibar[0], t=state0.t + t, hbar=state0.hbar)
+    """Propagate a state pair by duration ``t``: record 0 of :func:`exact_records`."""
+    return exact_records(system, state0, [t])[0]
 
 
 def check_step(h, dt: float, hbar: float) -> None:
@@ -438,14 +439,16 @@ def evolve_rk4(h, state0: StatePair, dt: float, steps: int) -> StatePair:
     return rk4_trajectory(h, state0, dt, steps, record_every=steps)[-1]
 
 
-def overlap(state: StatePair) -> complex:
-    """Conserved overlap ``<phibar|psi> = sum_k phibar_k psi_k`` (no conjugation)."""
-    return complex(np.sum(state.phibar * state.psi))
+def overlap(state):
+    """Conserved overlap ``<phibar|psi> = sum_k phibar_k psi_k`` of a state or of each record."""
+    return np.sum(state.phibar * state.psi, axis=-1)
 
 
-def right_norm(state: StatePair) -> float:
-    """Norm ``<psi|psi>`` of the right state; not conserved for non-Hermitian ``h``."""
-    return float(np.real(np.vdot(state.psi, state.psi)))
+def right_norm(state):
+    """Norm ``<psi|psi>`` of a state or of each record; not conserved for non-Hermitian ``h``."""
+    # one row-by-column product per record, with np.vdot's bits and, as it, no overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (state.psi.conj()[..., None, :] @ state.psi[..., :, None])[..., 0, 0].real
 
 
 def phase_rotated(state: StatePair, alpha: float) -> StatePair:

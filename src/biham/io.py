@@ -58,15 +58,15 @@ def vector_from_json(obj, n: int) -> np.ndarray:
 MAX_NAME_BYTES = 255 - len("..12345678.tmp")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text via a temp file in the target directory, then rename."""
+def atomic_write_text(path, chunks) -> None:
+    """Write an iterable of text chunks via a temp file in the target directory, then rename."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -75,20 +75,22 @@ def atomic_write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-# cells of a CSV artifact above this are refused before the run: write_csv
-# holds each cell as a Python float and its text, about 100 bytes in all
+# cells of a CSV artifact above this are refused before the run
 MAX_CSV_CELLS = 2 ** 24
+# rows that write_csv formats at a time, each cell a Python float and its text (~100 bytes)
+_CSV_BLOCK = 4096
 
 
 def write_csv(path, header, table) -> None:
-    """Emit a CSV artifact atomically: ``header``, then each row of the float ``table``."""
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Emit a CSV artifact atomically: ``header``, then the float ``table`` by row blocks."""
+    blocks = (table[lo:lo + _CSV_BLOCK].tolist() for lo in range(0, len(table), _CSV_BLOCK))
+    lines = ("\n".join(",".join(map(repr, row)) for row in block) + "\n" for block in blocks)
+    atomic_write_text(path, chain([",".join(header) + "\n"], lines))
 
 
 def write_json(path, obj) -> None:
     """Emit a JSON artifact atomically with sorted keys."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _reject_constant(name):
@@ -103,6 +105,9 @@ def read_json(path):
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data, parse_constant=_reject_constant)
+        # decoded and parsed as json.loads does, without holding the bytes during the parse
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
+        del data
+        return json.JSONDecoder(parse_constant=_reject_constant).decode(text)
     except ValueError as exc:  # malformed, undecodable, or a rejected constant
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ABSENT_MODE_CUTOFF, MAX_STEP_FRACTION, StatePair, step_count
+from .dynamics import (ABSENT_MODE_CUTOFF, MAX_STEP_FRACTION, StatePair, Trajectory,
+                       _first_non_finite_row, overlap, step_count)
 from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoefficient
 
 DEFAULT_SAMPLES = 201
@@ -315,11 +316,11 @@ def _rk4_increments(path: SweepPath, dt: float, hbar: float, steps: int, k0: int
     # -i*dt*h(s)/hbar, the generator of psi' = -(i/hbar) h psi, with the float operations of
     # SweepPath.params_at: s = k/steps at even entries, (k + 1/2)/steps at odd ones
     (x0, y0, z0), (x1, y1, z1) = path.start, path.end
-    s, rate = np.arange(2 * k0, 2 * k1 + 1) / 2 / steps, -1j * (dt / hbar)
-    np.multiply(rate, z0 + (z1 - z0) * s, out=ga)
-    np.multiply(1j, y0 + (y1 - y0) * s, out=gb)
-    np.add(x0 + (x1 - x0) * s, gb, out=gb)
-    np.multiply(rate, gb, out=gb)
+    s, r = np.arange(2 * k0, 2 * k1 + 1) / 2 / steps, dt / hbar  # a = -i r z, b = -i r (x + iy)
+    ga.real = 0.0
+    np.multiply(-r, z0 + (z1 - z0) * s, out=ga.imag)
+    np.multiply(r, y0 + (y1 - y0) * s, out=gb.real)
+    np.multiply(-r, x0 + (x1 - x0) * s, out=gb.imag)
     a0, am, a1 = ga[0:-1:2], ga[1::2], ga[2::2]
     b0, bm, b1 = gb[0:-1:2], gb[1::2], gb[2::2]
     pa, pb = _mul(am, bm, a0, b0)
@@ -422,10 +423,11 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
                 if end == mark_list[m]:
                     states[m] = x
                     m += 1
+        samples = Trajectory(marks * dt_eff, states[..., 0], states[..., 1], hbar)
         # a non-finite entry stays non-finite, so the first bad mark is the first overflow
-        finite = np.isfinite(states[1:]).all(axis=(1, 2))
-        if not finite.all():
-            raise NonFinite(f"sweep state overflowed at step {marks[1 + np.argmin(finite)]}")
+        bad = _first_non_finite_row(samples.psi, samples.phibar)
+        if bad is not None:
+            raise NonFinite(f"sweep state overflowed at step {marks[bad]}")
 
         # the closed forms per sample, in the caller's scalar types: numpy's powers
         # round differently from Python's
@@ -435,11 +437,10 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
         # the products then take the per-sample BLAS calls' roundings
         right = np.stack([u, v.conj(), v, u.conj()], axis=-1).reshape(-1, 2, 2)
         left = np.stack([u, -v.conj(), -v, u.conj()], axis=-1).reshape(-1, 2, 2)
-        psi, phibar = states[..., 0], states[..., 1]
-        c = left.conj().transpose(0, 2, 1) @ psi[..., None]
-        cbar = phibar[:, None, :] @ right
+        c = left.conj().transpose(0, 2, 1) @ samples.psi[..., None]
+        cbar = samples.phibar[:, None, :] @ right
         actions = hbar * cbar[:, 0] * c[..., 0]
-        overlaps = np.sum(phibar * psi, axis=1)
+        overlaps = overlap(samples)
 
     base = actions[0]
     # a mode is absent relative to the total action, so the verdict is scale free;
@@ -449,5 +450,5 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
     for j in range(actions.shape[1]):
         gap = np.abs(actions[:, j] - base[j])
         deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > absent else gap
-    return ActionRecord(times=marks * dt_eff, actions=actions, deviations=deviations,
+    return ActionRecord(times=samples.t, actions=actions, deviations=deviations,
                         overlaps=overlaps)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from biham import continuum
 from biham.continuum import ContinuumConfig
 from biham.dynamics import (
     ModalCoordinates,
@@ -154,7 +155,8 @@ class TestExactRecords:
         st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n),
                        t=float(rng.uniform(0.0, 1.0)), hbar=hbar)
         durations = np.arange(int(rng.integers(1, 30))) * float(rng.uniform(1e-3, 0.2))
-        psi, phibar = exact_records(system, st, durations)
+        records = exact_records(system, st, durations)
+        psi, phibar = records.psi, records.phibar
 
         c0 = system.left.conj().T @ st.psi
         cbar0 = st.phibar @ system.right
@@ -172,7 +174,7 @@ class TestExactRecords:
     def test_first_overflowing_duration_is_reported(self):
         system = biorthogonal_decompose(np.diag([5j, -5j]))
         st = StatePair(psi=np.array([1.0, 1.0]), phibar=np.array([1.0, 1.0]), t=0.5)
-        psi, _ = exact_records(system, st, [0.0, 100.0])
+        psi = exact_records(system, st, [0.0, 100.0]).psi
         assert np.all(np.isfinite(psi))
         with pytest.raises(NonFinite) as one:
             evolve_exact(system, st, 200.0)
@@ -358,6 +360,49 @@ class TestObservables:
 
     def test_right_norm(self):
         assert right_norm(_conjugate_pair(np.array([1.0, 0.0]))) == pytest.approx(1.0)
+
+
+def _rk4_records(n):
+    rng = np.random.default_rng(300 + n)
+    h = random_diagonalizable(rng, n)[0]
+    st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n), hbar=0.7)
+    return rk4_trajectory(h, st, 0.01, 500, record_every=7), 0.25
+
+
+def _exact_records(n):
+    rng = np.random.default_rng(400 + n)
+    system = biorthogonal_decompose(random_diagonalizable(rng, n)[0])
+    st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n), t=0.3)
+    return exact_records(system, st, np.arange(40) * 0.05), 0.5
+
+
+def _lattice_records(n):
+    config = ContinuumConfig(L=10.0, N=n)
+    x = config.grid()
+    V = continuum.complex_gaussian_potential(x, 4.0, 1.0, 0.6 - 0.2j)
+    st = continuum.initial_lattice_state(config, V, continuum.gaussian_packet(x, 6.0, 1.0, 1.5))
+    h = continuum.discretize(config, V)
+    return rk4_trajectory(h, st, 1e-3, 300, record_every=9), config.dx
+
+
+@pytest.mark.parametrize("records, n", [
+    (_rk4_records, 1), (_rk4_records, 8), (_exact_records, 1), (_exact_records, 8),
+    (_lattice_records, 8), (_lattice_records, 64),  # a lattice has at least 8 sites
+], ids=["rk4-1", "rk4-8", "exact-1", "exact-8", "lattice-8", "lattice-64"])
+def test_conserved_columns_of_a_trajectory_are_those_of_its_records(records, n):
+    # one value per record, each with the bits of that record's own; the reductions
+    # written out per record are the reference too
+    traj, dx = records(n)
+    columns = overlap(traj), right_norm(traj), continuum.lattice_charge(traj, dx)
+    for column in columns:
+        assert column.shape == (len(traj),)
+    for k, state in enumerate(traj):
+        own = overlap(state), right_norm(state), continuum.lattice_charge(state, dx)
+        for column, value in zip(columns, own):
+            assert column[k].tobytes() == np.asarray(value).tobytes()
+        assert own[0].tobytes() == np.sum(state.phibar * state.psi).tobytes()
+        assert own[1].tobytes() == np.vdot(state.psi, state.psi).real.tobytes()
+        assert own[2].tobytes() == (np.sum(state.phibar * state.psi) * dx).tobytes()
 
 
 def test_state_pair_validation():

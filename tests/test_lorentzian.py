@@ -177,12 +177,19 @@ class TestSweep:
         assert rec.max_deviation() <= 0.05
 
     def test_slower_sweep_improves(self):
-        devs = []
-        for T in (25.0, 50.0):
-            path = SweepPath.linear((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=T)
-            st = initial_sweep_state(path, [1.0, 0.0])
-            devs.append(sweep_adiabatic(path, st, dt=0.0025).max_deviation())
-        assert devs[1] < devs[0]
+        # adiabatic scaling: the largest deviation falls as 1/T^2, about fourfold per
+        # doubling of T on these paths (3.8-4.3 measured); threefold is required.  The
+        # first is the fixture's path, the last has z < 0
+        for start, end in [((1.0, 0.0, 3.0), (1.0, 0.0, 5.0)),
+                           ((1.0, 0.0, 3.0), (0.5, 0.5, 4.0)),
+                           ((0.3, -0.2, -2.0), (0.8, 0.1, -3.5))]:
+            devs = []
+            for T in (25.0, 50.0, 100.0, 200.0):
+                path = SweepPath.linear(start, end, T=T)
+                st = initial_sweep_state(path, [1.0, 0.0])
+                devs.append(sweep_adiabatic(path, st, dt=0.0025).max_deviation())
+            for slow, fast in zip(devs[1:], devs):
+                assert 3.0 * slow <= fast, (start, end, devs)
 
     def test_overlap_conserved_during_sweep(self):
         path = SweepPath.linear((1.0, 0.0, 3.0), (0.5, 0.5, 4.0), T=30.0)
