@@ -22,19 +22,20 @@ value per record.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NonFinite, StepTooLarge, ZeroModalCoefficient
-from .spectral import BiorthogonalSystem, as_square_matrix
+from .spectral import BiorthogonalSystem, _readonly, as_square_matrix
 
 DEFAULT_HBAR = 1.0
 
 # dt * ||h|| / hbar above this rejects the step outright
 MAX_STEP_FRACTION = 0.5
 
-# |<b_j|psi>| below this treats mode j as absent
+# |<b_j|psi>| at or below this times sum_k |<b_k|psi>| treats mode j as absent from psi;
+# a sweep's action I_j at or below it times sum_k |I_k| likewise
 ABSENT_MODE_CUTOFF = 1e-12
 
 # step counts above this are refused as a config error, not run for hours
@@ -64,6 +65,13 @@ def _state_vector(v, n=None) -> np.ndarray:
     return v
 
 
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """``arrays``, made read-only in place: a propagator's own, which a Trajectory then shares."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass
 class StatePair:
     """Right state ``psi`` and conjugate row ``phibar`` at time ``t``.
@@ -84,11 +92,7 @@ class StatePair:
         psi = _state_vector(self.psi)
         phibar = _state_vector(self.phibar, psi.shape[0])
         # a read-only input, such as a Trajectory row, is shared as it is
-        psi, phibar = (a.copy() if a.flags.writeable else a for a in (psi, phibar))
-        for a in (psi, phibar):
-            a.setflags(write=False)
-        self.psi = psi
-        self.phibar = phibar
+        self.psi, self.phibar = _readonly(psi), _readonly(phibar)
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
@@ -101,8 +105,10 @@ class StatePair:
 class Trajectory(Sequence):
     """Recorded states of a run, stacked: record ``k`` is ``t[k]``, ``psi[k]``, ``phibar[k]``.
 
-    The arrays are read-only.  Item ``k`` is a :class:`StatePair` view of row
-    ``k``, built when it is read; a slice is a trajectory of the same rows.
+    The arrays are read-only, and a writeable one is copied first, so the
+    caller's array stays writeable; the propagators pass arrays they froze.
+    Item ``k`` is a :class:`StatePair` view of row ``k``, built when it is
+    read; a slice is a trajectory of the same rows.
     """
 
     t: np.ndarray
@@ -111,8 +117,8 @@ class Trajectory(Sequence):
     hbar: float = DEFAULT_HBAR
 
     def __post_init__(self):
-        for a in (self.t, self.psi, self.phibar):
-            a.setflags(write=False)
+        for name in ("t", "psi", "phibar"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -126,28 +132,18 @@ class Trajectory(Sequence):
 
 @dataclass
 class ModalCoordinates:
-    """Modal coefficients ``c_j``, ``cbar_j`` and modal constants ``|C_j|^2``.
+    """Modal coefficients ``c_j = <b_j|psi>`` and ``cbar_j = <phibar|a_j>`` of a state pair.
 
-    Along exact evolution each product ``cbar_j * c_j`` is a constant of
-    motion equal to ``csq_j``.
+    Along exact evolution each product ``cbar_j * c_j``, the modal constant
+    ``|C_j|^2``, is a constant of motion.
     """
 
     c: np.ndarray
     cbar: np.ndarray
-    csq: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=complex)
-        self.cbar = np.asarray(self.cbar, dtype=complex)
-        if self.csq is None:
-            self.csq = np.real(self.cbar * self.c)
-        self.csq = np.asarray(self.csq, dtype=float)
 
     @classmethod
     def from_state(cls, system: BiorthogonalSystem, state: StatePair) -> "ModalCoordinates":
-        c = expand_state(system, state.psi)
-        cbar = state.phibar @ system.right
-        return cls(c=c, cbar=cbar)
+        return cls(c=expand_state(system, state.psi), cbar=state.phibar @ system.right)
 
 
 def schrodinger_rhs(h, psi, phibar, hbar: float = DEFAULT_HBAR):
@@ -161,42 +157,46 @@ def expand_state(system: BiorthogonalSystem, psi) -> np.ndarray:
     return system.left.conj().T @ psi
 
 
-def default_modal_constants(system: BiorthogonalSystem, psi) -> np.ndarray:
-    """Modal constants ``|c_j|^2`` of ``psi``, zeroing modes at or below ``ABSENT_MODE_CUTOFF``.
-
-    This matches the convenient real-spectrum initialization
-    ``|cbar_j(0)| = |c_j(0)|``.
-    """
-    c = expand_state(system, psi)
-    with np.errstate(over="ignore"):  # an overflow is inf here, NonFinite in conjugate_field
-        csq = np.abs(c) ** 2
-    csq[np.abs(c) <= ABSENT_MODE_CUTOFF] = 0.0
-    return csq
+def _absent(v: np.ndarray) -> np.ndarray:
+    """Which modes of amplitudes or actions ``v`` are absent: ``|v_j| <= ABSENT_MODE_CUTOFF *
+    sum_k |v_k|``, relative to the whole, so scale free; the sum of scaled terms cannot overflow."""
+    magnitude = np.abs(v)
+    return magnitude <= np.sum(ABSENT_MODE_CUTOFF * magnitude)
 
 
-def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
+def conjugate_field(system: BiorthogonalSystem, psi, csq=None) -> np.ndarray:
     """Conjugate field ``phibar = sum_j (csq_j / <b_j|psi>) b_j^H`` as a row.
 
-    Modes with ``csq_j = 0`` are simply absent from the sum.
+    Modes with ``csq_j = 0`` are simply absent from the sum.  ``csq`` defaults
+    to ``|c_j|^2`` of ``c_j = <b_j|psi>``, zero for a mode absent from ``psi``
+    (``|c_j|`` at or below ``ABSENT_MODE_CUTOFF`` times ``sum_k |c_k|``): the
+    convenient real-spectrum initialization ``|cbar_j(0)| = |c_j(0)|``, with
+    which the conjugate field of Hermitian ``h`` is ``psi^H``.
 
     Raises
     ------
     ZeroModalCoefficient
-        If ``csq_j > 0`` for a mode with ``|<b_j|psi>|`` at or below the
-        absent-mode cutoff.
+        If ``csq_j > 0`` for a mode absent from ``psi``.
     NonFinite
-        If the field overflows, as it does for ``|c_j|^2`` beyond the float
-        range.
+        If a coefficient ``c_j`` or the field overflows, as the field does
+        for ``|c_j|^2`` beyond the float range.
     """
-    psi = _state_vector(psi, system.n)
+    # an overflowing c_j or |c_j|^2 is inf or nan here, NonFinite below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = expand_state(system, psi)
+        absent = _absent(c)
+        if csq is None:
+            csq = np.abs(c) ** 2
+            csq[absent] = 0.0
     csq = np.asarray(csq, dtype=float)
     if csq.shape != (system.eigenvalues.shape[0],):
         raise ValueError("one modal constant per mode required")
     if np.any(csq < 0):
         raise ValueError("modal constants must be nonnegative")
-    c = expand_state(system, psi)
+    if not np.all(np.isfinite(c)):  # an infinite c_j marks every mode absent
+        raise NonFinite("the modal coefficients of psi overflow")
     occupied = csq > 0
-    missing = occupied & (np.abs(c) <= ABSENT_MODE_CUTOFF)
+    missing = occupied & absent
     if np.any(missing):
         j = int(np.flatnonzero(missing)[0])
         raise ZeroModalCoefficient(
@@ -215,13 +215,7 @@ def conjugate_field(system: BiorthogonalSystem, psi, csq) -> np.ndarray:
 
 def initial_state(system: BiorthogonalSystem, psi0, csq=None,
                   hbar: float = DEFAULT_HBAR) -> StatePair:
-    """State pair at ``t = 0`` of ``psi0`` and its conjugate field for modal constants ``csq``.
-
-    ``csq`` defaults to :func:`default_modal_constants`, ``|c_j|^2`` with the
-    absent-mode cutoff, so for Hermitian ``h`` the conjugate field is ``psi0^H``.
-    """
-    if csq is None:
-        csq = default_modal_constants(system, psi0)
+    """State pair at ``t = 0`` of ``psi0`` and its :func:`conjugate_field` for ``csq``."""
     return StatePair(psi=psi0, phibar=conjugate_field(system, psi0, csq), hbar=hbar)
 
 
@@ -247,8 +241,8 @@ def exact_records(system: BiorthogonalSystem, state0: StatePair, durations) -> T
         # c0 and cbar0 as (1, n) rows: for n = 1 numpy rounds the broadcast
         # (1,) * (1, 1) product differently from the one-row (1,) * (1,) one,
         # and (1, 1) * (1, 1) as the latter
-        c0 = expand_state(system, state0.psi)[None, :]
-        cbar0 = (state0.phibar @ system.right)[None, :]
+        modal = ModalCoordinates.from_state(system, state0)
+        c0, cbar0 = modal.c[None, :], modal.cbar[None, :]
         phase = np.exp(-1j * system.eigenvalues * durations[:, None] / state0.hbar)
         c = c0 * phase
         cbar = cbar0 / phase
@@ -258,7 +252,7 @@ def exact_records(system: BiorthogonalSystem, state0: StatePair, durations) -> T
     bad = _first_non_finite_row(psi, phibar)
     if bad is not None:
         raise NonFinite(f"state overflowed by t={t[bad]:.6g}")
-    return Trajectory(t, psi, phibar, state0.hbar)
+    return Trajectory(*_frozen(t, psi, phibar), state0.hbar)
 
 
 def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> StatePair:
@@ -431,7 +425,7 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     if bad is not None:
         k = ends[bad]
         raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
-    return Trajectory(t, psi_rows, phibar_rows, hbar)
+    return Trajectory(*_frozen(t, psi_rows, phibar_rows), hbar)
 
 
 def evolve_rk4(h, state0: StatePair, dt: float, steps: int) -> StatePair:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (ABSENT_MODE_CUTOFF, MAX_STEP_FRACTION, StatePair, Trajectory,
-                       _first_non_finite_row, overlap, step_count)
-from .errors import NonFinite, OutsideRealRegime, StepTooLarge, ZeroModalCoefficient
+from .dynamics import (MAX_STEP_FRACTION, StatePair, Trajectory, _absent,
+                       _first_non_finite_row, _frozen, conjugate_field, overlap, step_count)
+from .errors import NonFinite, OutsideRealRegime, StepTooLarge
+from .spectral import BiorthogonalSystem
 
 DEFAULT_SAMPLES = 201
 
@@ -92,6 +93,10 @@ class LorentzianEigenpair:
         u, v = self.u, self.v
         return np.array([[u, -np.conj(v)], [-v, np.conj(u)]], dtype=complex)
 
+    def system(self) -> BiorthogonalSystem:
+        """The closed-form eigenbasis: eigenvalues ``(E, -E)``, unsorted, and these columns."""
+        return BiorthogonalSystem([self.E, -self.E], self.right_vectors(), self.left_vectors())
+
 
 def lorentzian_matrix(p: LorentzianParams) -> np.ndarray:
     """Assemble the 2x2 generator [[z, x+iy], [-x+iy, -z]]."""
@@ -142,7 +147,7 @@ def _closed_form(x0, y0, z0):
 
 
 def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
-    """Conjugate field of a two-component state via the closed-form expressions.
+    """Conjugate field of a two-component state in the closed-form eigenbasis.
 
     With ``d_1 = u* psi_1 - v* psi_2`` and ``d_2 = -v psi_1 + u psi_2`` (the
     modal coefficients ``<b_j|psi>``):
@@ -150,33 +155,10 @@ def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
         phibar_1 =  csq_1 u* / d_1  -  csq_2 v / d_2,
         phibar_2 = -csq_1 v* / d_1  +  csq_2 u / d_2,
 
-    dropping each term whose ``csq_j`` is zero.  Agrees with the generic
-    :func:`biham.dynamics.conjugate_field` built on the numerically
-    decomposed eigenbasis.
+    dropping each term whose ``csq_j`` is zero: this is
+    :func:`biham.dynamics.conjugate_field` on :meth:`LorentzianEigenpair.system`.
     """
-    psi = np.asarray(psi, dtype=complex)
-    csq = np.asarray(csq, dtype=float)
-    if psi.shape != (2,) or csq.shape != (2,):
-        raise ValueError("two-level model expects length-2 psi and csq")
-    if np.any(csq < 0):
-        raise ValueError("modal constants must be nonnegative")
-    pair = lorentzian_uv(p)
-    u, v = pair.u, pair.v
-    d = np.array([np.conj(u) * psi[0] - np.conj(v) * psi[1],
-                  -v * psi[0] + u * psi[1]])
-    phibar = np.zeros(2, dtype=complex)
-    for j in range(2):
-        if csq[j] == 0.0:
-            continue
-        if abs(d[j]) <= ABSENT_MODE_CUTOFF:
-            raise ZeroModalCoefficient(
-                f"mode {j} has csq={csq[j]:.3g} but |<b_{j}|psi>|={abs(d[j]):.3e}"
-            )
-        if j == 0:
-            phibar += (csq[0] / d[0]) * np.array([np.conj(u), -np.conj(v)])
-        else:
-            phibar += (csq[1] / d[1]) * np.array([-v, u])
-    return phibar
+    return conjugate_field(lorentzian_uv(p).system(), psi, csq)
 
 
 @dataclass
@@ -423,7 +405,7 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
                 if end == mark_list[m]:
                     states[m] = x
                     m += 1
-        samples = Trajectory(marks * dt_eff, states[..., 0], states[..., 1], hbar)
+        samples = Trajectory(*_frozen(marks * dt_eff, states[..., 0], states[..., 1]), hbar)
         # a non-finite entry stays non-finite, so the first bad mark is the first overflow
         bad = _first_non_finite_row(samples.psi, samples.phibar)
         if bad is not None:
@@ -443,12 +425,8 @@ def sweep_adiabatic(path: SweepPath, state0: StatePair, dt: float) -> ActionReco
         overlaps = overlap(samples)
 
     base = actions[0]
-    # a mode is absent relative to the total action, so the verdict is scale free;
-    # the cutoff scales each term, so the sum cannot overflow
-    absent = np.sum(ABSENT_MODE_CUTOFF * np.abs(base))
-    deviations = np.empty_like(actions, dtype=float)
-    for j in range(actions.shape[1]):
-        gap = np.abs(actions[:, j] - base[j])
-        deviations[:, j] = gap / abs(base[j]) if abs(base[j]) > absent else gap
+    deviations = np.abs(actions - base)
+    occupied = ~_absent(base)
+    deviations[:, occupied] /= np.abs(base[occupied])
     return ActionRecord(times=samples.t, actions=actions, deviations=deviations,
                         overlaps=overlaps)

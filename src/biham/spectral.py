@@ -43,8 +43,11 @@ def as_square_matrix(h) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
+    """``a`` if it is read-only, else a read-only copy in its layout, which the products'
+    roundings follow; the caller's array stays writeable."""
+    if a.flags.writeable:
+        a = a.copy(order="K")
+        a.setflags(write=False)
     return a
 
 
@@ -54,9 +57,10 @@ class BiorthogonalSystem:
     ``right[:, j]`` is the right eigenvector ``a_j`` and ``left[:, j]`` the left
     eigenvector ``b_j``; ``cond`` is the condition number of the right
     eigenvector matrix, from its SVD when first read unless given.
-    Eigenvalues are sorted by (real, imaginary) part and the columns follow
-    that order.  Rectangular ``right``/``left`` (fewer columns than rows) are
-    tolerated so residuals of truncated systems can be measured.
+    :func:`biorthogonal_decompose` sorts the eigenvalues by (real, imaginary)
+    part, and the columns follow that order.  Rectangular ``right``/``left``
+    (fewer columns than rows) are tolerated so residuals of truncated systems
+    can be measured.
     """
 
     def __init__(self, eigenvalues, right, left, cond: float = None):

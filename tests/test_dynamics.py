@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,6 @@ from biham.dynamics import (
     _step_maps,
     check_step,
     conjugate_field,
-    default_modal_constants,
     evolve_exact,
     evolve_rk4,
     exact_records,
@@ -90,12 +91,22 @@ class TestConjugateField:
         phibar = conjugate_field(sys2, sys2.right[:, 1], [0.0, 3.0])
         assert overlap(StatePair(psi=sys2.right[:, 1], phibar=phibar)) == pytest.approx(3.0)
 
-    def test_default_modal_constants(self):
+    @pytest.mark.parametrize("csq", [None, [1.0, 1.0]])
+    def test_overflowing_coefficient_is_non_finite(self, csq):
+        # c = (-psi_2, sqrt(2) psi_2): the second passes the float range, and against
+        # its infinite sum the first would read as absent too, giving phibar = 0
+        sys2 = biorthogonal_decompose([[1, 1], [0, 2]])
+        with pytest.raises(NonFinite, match="modal coefficients of psi overflow"):
+            conjugate_field(sys2, np.array([0.0, 1.5e308]), csq)
+
+    def test_default_constants(self):
         rng = np.random.default_rng(3)
         h, _, _ = random_diagonalizable(rng, 4)
         sys4 = biorthogonal_decompose(h)
         psi = sys4.right[:, 1]
-        csq = default_modal_constants(sys4, psi)
+        # the default constants, read back as the modal products cbar_j c_j of the pair
+        phibar = conjugate_field(sys4, psi)
+        csq = np.real((phibar @ sys4.right) * expand_state(sys4, psi))
         assert csq[1] == pytest.approx(1.0)
         assert np.all(csq[[0, 2, 3]] <= 1e-20)
 
@@ -423,6 +434,38 @@ def test_state_pair_copies_a_writeable_input():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_trajectory_copies_a_writeable_input():
+    t, psi, phibar = np.arange(3.0), np.ones((3, 2), complex), np.zeros((3, 2), complex)
+    traj = Trajectory(t, psi, phibar)
+    t[0] = psi[0, 0] = phibar[0, 0] = 3.0  # the caller's arrays stay writeable and its own
+    assert traj.t[0] == 0.0 and traj.psi[0, 0] == 1.0 and traj.phibar[0, 0] == 0.0
+    for a in (traj.t, traj.psi, traj.phibar):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_exact_records_memory_peak():
+    # the propagator's own arrays: the phases, each field's coefficients and records,
+    # five (rows, n) stacks, and the times; a Trajectory that copied its arrays would
+    # hold two stacks more
+    rows, n = 4096, 8
+    rng = np.random.default_rng(31)
+    h, _, _ = random_diagonalizable(rng, n, imag_scale=1e-3)
+    system = biorthogonal_decompose(h)
+    st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n))
+    durations = np.arange(rows) * 1e-3
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        records = exact_records(system, st, durations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == rows
+    assert peak <= 5 * 16 * rows * n + 2 * 8 * rows + 2 ** 16
 
 
 NAN = float("nan")

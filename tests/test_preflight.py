@@ -552,6 +552,15 @@ def test_evolve_conjugate_field_overflow_is_non_finite(tmp_path, capfd, method,
     assert_refused(tmp_path, cfg, capfd, validate_code, 3, "non_finite", "params.psi0: ")
 
 
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_evolve_modal_coefficient_overflow_is_non_finite(tmp_path, capfd, method):
+    # c = (-psi_2, sqrt(2) psi_2) of h = [[1, 1], [0, 2]] passes the float range:
+    # refused without a numpy warning, and not read as a state with every mode absent
+    cfg = evolve_config(matrix={"n": 2, "re": [[1.0, 1.0], [0.0, 2.0]], "im": [[0.0] * 2] * 2},
+                        psi0={"re": [0.0, 1.5e308], "im": [0.0, 0.0]}, method=method)
+    assert_refused(tmp_path, cfg, capfd, 2, 3, "non_finite", "params.psi0: ")
+
+
 def counted_decompositions(monkeypatch):
     """The ``h`` of every ``biorthogonal_decompose`` call from here on."""
     calls = []
