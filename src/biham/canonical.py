@@ -7,12 +7,15 @@ motion through Hamilton's canonical equations for the pairs
     d(i*hbar*psi_k)/dt = dH/dphibar_k,    dphibar_k/dt = -dH/d(i*hbar*psi_k).
 
 Because ``H`` is bilinear, its partials are exact; ``phibar_k`` and ``psi_k``
-are treated as independent coordinates throughout.  The same value can be
-computed in modal form as ``sum_j E_j cbar_j c_j``, which is manifestly
-conserved for time-independent generators.
+are treated as independent coordinates throughout, and each central difference
+of H is the row ``phibar @ h``, or that row plus a multiple of ``h[k]``,
+against ``psi``: O(n) per probe.  The same value can be computed in modal form
+as ``sum_j E_j cbar_j c_j``, which is manifestly conserved for time-independent
+generators; :func:`canonical_report` gives both, with the gaps of the canonical
+equations and of the central differences.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -99,11 +102,11 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
     """
     h = as_square_matrix(h)
     psi = np.array(state.psi)
-    phibar = np.array(state.phibar)
     d_phibar, d_psi = hamiltonian_gradients(h, state)
     scale = max(float(np.max(np.abs(d_phibar))), float(np.max(np.abs(d_psi))), 1.0)
 
-    # H(phibar, ps) = (phibar @ h) @ ps = d_psi @ ps: the psi probes need no product with h
+    # H(phibar + s e_k, psi) = (d_psi + s h[k]) @ psi and H(phibar, ps) = d_psi @ ps,
+    # with d_psi = phibar @ h: no probe takes a product with h
     n = psi.shape[0]
     worst = 0.0
     # a step at the ends of the float range overflows; its gaps are refused
@@ -117,9 +120,10 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
                 # row k is the central difference along the Re (probe=1) or Im (probe=i)
                 # axis of component k; stacks of 1 x n rows and n x 1 columns take the
                 # roundings of the per-probe vector products
+                shift = step * probe * h[rows]
+                num_phibar = ((d_psi + shift)[:, None, :] @ psi[:, None]
+                              - (d_psi - shift)[:, None, :] @ psi[:, None])[:, 0, 0]
                 shift = step * probe * eye
-                num_phibar = (((phibar + shift)[:, None, :] @ h) @ psi[:, None]
-                              - ((phibar - shift)[:, None, :] @ h) @ psi[:, None])[:, 0, 0]
                 num_psi = (d_psi[None, None, :] @ (psi + shift)[:, :, None]
                            - d_psi[None, None, :] @ (psi - shift)[:, :, None])[:, 0, 0]
                 for diff in (num_phibar / 2 / step - probe * d_phibar[rows],
@@ -134,39 +138,23 @@ def gradient_fd_mismatch(h, state: StatePair, step: float = FD_STEP) -> float:
     return worst / scale
 
 
-def state_checks(h, state: StatePair, fd_step: float = FD_STEP):
-    """The report's fields that need no eigensystem: ``(hamiltonian_value,
-    rhs_mismatch, grad_mismatch)``.
-
-    An hbar below ~1e-308, or h and the state near the float maximum, overflow
-    here: ``modal_report`` then refuses the report.  numpy's error state is
-    per thread, so this sets its own wherever it runs.
-    """
-    h = as_square_matrix(h)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (hamiltonian_value(h, state), rhs_mismatch(h, state),
-                gradient_fd_mismatch(h, state, step=fd_step))
-
-
-def modal_report(system: BiorthogonalSystem, state: StatePair, checks) -> CanonicalReport:
-    """The report of ``state_checks``' fields and the modal value over ``system``.
-
-    Raises NonFinite, rather than report inf or nan, if a field leaves the float range.
-    """
-    value, rhs, grad = checks
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        modal = modal_hamiltonian(system, ModalCoordinates.from_state(system, state))
-    report = CanonicalReport(hamiltonian_value=value, modal_value=modal,
-                             rhs_mismatch=rhs, grad_mismatch=grad)
-    if not np.all(np.isfinite([value, modal, rhs, grad])):
-        raise NonFinite("the canonical report leaves the float range")
-    return report
-
-
 def canonical_report(h, state: StatePair, system: BiorthogonalSystem = None,
                      fd_step: float = FD_STEP) -> CanonicalReport:
-    """Build the full consistency report for one (generator, state) pair."""
+    """The consistency report of one (generator, state) pair over ``system``, the
+    eigensystem of ``h`` (decomposed here if not given).
+
+    Raises NonFinite, rather than report inf or nan, if a field leaves the float
+    range, as with an hbar below ~1e-308, or h and the state near the float maximum.
+    """
     h = as_square_matrix(h)
     if system is None:
         system = biorthogonal_decompose(h)
-    return modal_report(system, state, state_checks(h, state, fd_step))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = CanonicalReport(
+            hamiltonian_value=hamiltonian_value(h, state),
+            modal_value=modal_hamiltonian(system, ModalCoordinates.from_state(system, state)),
+            rhs_mismatch=rhs_mismatch(h, state),
+            grad_mismatch=gradient_fd_mismatch(h, state, step=fd_step))
+    if not np.all(np.isfinite(astuple(report))):
+        raise NonFinite("the canonical report leaves the float range")
+    return report

@@ -278,7 +278,7 @@ def _check_rows(steps: int, every: int, n: int, columns: int) -> None:
     A row holds ``2 n`` complex entries, psi and phibar, and ``columns`` CSV cells:
     rows, entries and cells are each capped, so the memory of a run is bounded.
     """
-    rows = -(-steps // every) + 1  # every multiple of ``every``, the start and the last step
+    rows = dynamics.record_count(steps, every)
     if rows > dynamics.MAX_RECORDS:
         raise ConfigError(f"{steps} steps recorded every {every} make {rows} rows, above the "
                           f"limit of {dynamics.MAX_RECORDS}")
@@ -476,7 +476,7 @@ def _run_evolve(inputs, params, seed):
         maps = dynamics._step_maps(h, dt, state0.hbar, steps, every)
         traj = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every, _maps=maps)
     else:
-        durations = np.array([*range(0, steps, every), steps]) * dt
+        durations = dynamics.record_steps(steps, every) * dt
         traj = dynamics.exact_records(inputs["system"], state0, durations)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         overlap = dynamics.overlap(traj)
@@ -488,17 +488,10 @@ def _run_evolve(inputs, params, seed):
 
 def _run_verify(inputs, params, seed):
     h = inputs["h"]
-    fd_step = params.get("fd_step", canonical.FD_STEP)
-    if "phibar0" in inputs:
-        # the state needs no eigensystem, so its checks run beside the decomposition
-        state = _initial_state(None, inputs, params, seed)
-        system, checks = _beside(lambda: spectral.biorthogonal_decompose(h),
-                                 lambda: canonical.state_checks(h, state, fd_step))
-    else:  # phibar0 is built from the eigensystem
-        system = spectral.biorthogonal_decompose(h)
-        state = _initial_state(system, inputs, params, seed)
-        checks = canonical.state_checks(h, state, fd_step)
-    report = canonical.modal_report(system, state, checks)
+    system = spectral.biorthogonal_decompose(h)
+    state = _initial_state(system, inputs, params, seed)
+    report = canonical.canonical_report(h, state, system,
+                                        params.get("fd_step", canonical.FD_STEP))
     payload = {
         "n": h.shape[0],
         "hamiltonian_value_re": report.hamiltonian_value.real,
@@ -572,8 +565,9 @@ def _run_continuum(inputs, params, seed):
         lambda: dynamics._step_maps(h, dt, config.hbar, steps, every))
     snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every, _maps=maps)
     # the time stencil of a row needs equal gaps: not the end rows, nor the
-    # row before a shorter last interval when snapshot_every does not divide steps
-    last = len(snaps) - 2 if steps % every != 0 else len(snaps) - 1
+    # row before a shorter last interval
+    gaps = np.diff(dynamics.record_steps(steps, every))
+    last = len(snaps) - 1 if gaps[-1] == gaps[0] else len(snaps) - 2
     resid = np.zeros(len(snaps))
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite_table
         q = continuum.lattice_charge(snaps, config.dx)

@@ -244,9 +244,12 @@ def exact_records(system: BiorthogonalSystem, state0: StatePair, durations) -> T
         modal = ModalCoordinates.from_state(system, state0)
         c0, cbar0 = modal.c[None, :], modal.cbar[None, :]
         phase = np.exp(-1j * system.eigenvalues * durations[:, None] / state0.hbar)
-        c = c0 * phase
-        cbar = cbar0 / phase
+        # three (rows, n) stacks at the peak, each dropped once used; an in-place
+        # c0 * phase of one row and mode would round as a Python complex product
+        c, cbar = c0 * phase, cbar0 / phase
+        del phase
         psi = (system.right @ c[:, :, None])[:, :, 0]
+        del c
         phibar = (system.left.conj() @ cbar[:, :, None])[:, :, 0]
         t = state0.t + durations  # a time beyond the float range is inf
     bad = _first_non_finite_row(psi, phibar)
@@ -302,6 +305,18 @@ def step_count(duration: float, dt: float) -> int:
     return steps
 
 
+def record_count(steps: int, every: int) -> int:
+    """Number of records of :func:`record_steps`, counted without forming them."""
+    return -(-steps // every) + 1
+
+
+def record_steps(steps: int, every: int) -> np.ndarray:
+    """Step of each record of ``steps`` steps recorded every ``every``: 0, each multiple
+    of ``every`` below ``steps``, and ``steps``, after an interval that can be shorter."""
+    # an every beyond steps records as steps does, and keeps the products in int64
+    return np.minimum(np.arange(record_count(steps, every)) * min(every, steps), steps)
+
+
 def _rk4_increments(w: np.ndarray):
     """``R(w) - 1`` and ``R(-w) - 1`` of a matrix, ``R(z) - 1 = z + z^2/2 + z^3/6 + z^4/24``.
 
@@ -339,18 +354,19 @@ def _step_maps(h, dt: float, hbar: float, steps: int, record_every: int):
     """The step maps of an RK4 run: ``(delta_psi, delta_phibar, powers)``.
 
     ``delta_psi`` and ``delta_phibar`` are the one-step increments of psi and
-    phibar; ``powers`` maps each interval length of the run, ``record_every``
-    and a shorter last one, to the increments of its powers, or to None if
-    one overflows.  They depend on ``h``, ``dt``, ``hbar`` and the lengths
-    only, so need no eigenvector.  The caller runs :func:`check_step` first.
+    phibar; ``powers`` maps each interval length of :func:`record_steps`, the
+    first and the last, to the increments of its powers, or to None if one
+    overflows.  They depend on ``h``, ``dt``, ``hbar`` and the lengths only,
+    so need no eigenvector.  The caller runs :func:`check_step` first.
     """
     # psi' = -(i/hbar) h psi and phibar' = phibar (i/hbar) h: z = +-w for each
     delta_psi, delta_phibar = _rk4_increments((-1j * dt / hbar) * h)
+    ends = record_steps(steps, record_every)
     powers = {}
     # an overflowing power is a detected condition, stepped singly; numpy's error
     # state is per thread, so it is set here for a caller on any thread
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in (min(record_every, steps), steps % record_every or record_every):
+        for m in (int(ends[1] - ends[0]), int(ends[-1] - ends[-2])):
             if m not in powers:
                 pair = _increment_power(delta_psi, m), _increment_power(delta_phibar, m)
                 powers[m] = pair if all(np.all(np.isfinite(e)) for e in pair) else None
@@ -390,7 +406,7 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
         _maps = _step_maps(h, dt, hbar, steps, record_every)
     delta_psi, delta_phibar, powers = _maps
 
-    ends = [*range(0, steps, record_every), steps]  # the step of each record
+    ends = record_steps(steps, record_every)
     psi_rows = np.empty((len(ends), state0.n), dtype=complex)
     phibar_rows = np.empty_like(psi_rows)
     psi, phibar = state0.psi, state0.phibar
@@ -398,10 +414,9 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
     # overflow is a detected condition here, not a warning; inf and nan survive
     # every later step, so the first non-finite row is the first overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        t = state0.t + np.array(ends) * dt  # a time beyond the float range is inf
+        t = state0.t + ends * dt  # a time beyond the float range is inf
         t[0] = state0.t
-        for row in range(1, len(ends)):
-            m = ends[row] - ends[row - 1]
+        for row, m in enumerate(np.diff(ends).tolist(), start=1):
             if powers[m] is None:
                 for i in range(1, m + 1):
                     psi = psi + delta_psi @ psi
@@ -423,7 +438,7 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
                 break
     bad = _first_non_finite_row(psi_rows, phibar_rows)
     if bad is not None:
-        k = ends[bad]
+        k = int(ends[bad])
         raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
     return Trajectory(*_frozen(t, psi_rows, phibar_rows), hbar)
 

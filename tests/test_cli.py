@@ -321,7 +321,7 @@ def raiser(error):
 
 
 @pytest.mark.parametrize("cfg", [
-    # the decomposition fails first on one thread; the FD check overflows on the other
+    # the decomposition fails before the FD check would overflow
     verify_with_phibar0(matrix={"n": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]},
                         psi0={"re": [1.0, 0.5], "im": [0.0, 0.0]},
                         phibar0={"re": [0.5, 1.0], "im": [0.0, 0.0]}, fd_step=5e-324),
@@ -335,10 +335,29 @@ def test_verify_ends_with_the_decomposition_error(tmp_path, capsys, cfg):
 @pytest.mark.parametrize("cfg", [verify_with_phibar0(fd_step=5e-324),
                                  verify_with_phibar0(hbar=5e-324)],
                          ids=["fd_step", "hbar"])
-def test_verify_state_check_overflow_beside_the_decomposition(tmp_path, capsys, cfg):
-    # fd_step raises NonFinite on the helper thread; hbar gives an inf field there,
-    # which the report refuses after the join
+def test_verify_refuses_an_overflowing_check(tmp_path, capsys, cfg):
+    # fd_step raises NonFinite in the FD check; hbar gives an inf field, which the
+    # report refuses
     assert run_refused(tmp_path, capsys, cfg) == (3, "non_finite")
+
+
+@pytest.mark.parametrize("cfg", [verify_with_phibar0(),
+                                 load_config(FIXTURES / "verify_random.json")],
+                         ids=["phibar0", "eigenbasis"])
+def test_verify_runs_on_the_calling_thread(tmp_path, monkeypatch, cfg):
+    threads = []
+    check = canonical.gradient_fd_mismatch
+
+    def record_thread(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_beside", raiser(AssertionError))
+    monkeypatch.setattr(canonical, "gradient_fd_mismatch", record_thread)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("verify", path, tmp_path) == 0
+    assert threads == [threading.current_thread()]
 
 
 # decompose takes its residuals, then cond(S), on the calling thread

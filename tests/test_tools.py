@@ -37,6 +37,25 @@ def test_digest_of_a_fixture_is_stable(fixture):
     assert json.dumps(again, sort_keys=True) == json.dumps(first, sort_keys=True)
 
 
+def test_json_artifacts_digest_each_field():
+    # a JSON artifact gets one digest per top-level field, so a diff names the one that
+    # moved; a CSV artifact gets none
+    tool = load_tool()
+    fields = {}
+    for fixture in ("verify_random.json", "sweep_reference.json"):
+        path = ROOT / "tests" / "fixtures" / fixture
+        config = json.loads(path.read_text())
+        result = tool.digest(ROOT / "src", config["command"], path, config["output"], 1)
+        assert result["exit"] == 0
+        fields[config["command"]] = result.get("fields")
+    assert fields["sweep"] is None
+    assert set(fields["verify"]) == {
+        "n", "hamiltonian_value_re", "hamiltonian_value_im", "modal_value_re",
+        "modal_value_im", "rhs_mismatch", "grad_mismatch"}
+    for digest in fields["verify"].values():
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+
+
 FAILING_PROPERTIES = '''
 from hypothesis import given, settings, strategies as st
 

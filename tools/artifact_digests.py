@@ -11,7 +11,9 @@ per config and route with ``--blas-threads`` BLAS threads (default 1).  The
 artifacts' bits depend on that count, so compare outputs made with the same
 one.  It prints one JSON object: per
 config, the exit code and the SHA-256 of the artifact (``null`` when none is
-written), of stdout and of stderr, and under ``validate`` the exit code and
+written), of stdout and of stderr; for a JSON artifact (``decompose`` and
+``verify``), under ``fields``, the SHA-256 of each top-level key's JSON value,
+so a diff names the field that moved; and under ``validate`` the exit code and
 the SHA-256 of stdout and stderr of the same config run with
 ``--validate-only``.  The configs always come from this tree, so two source
 trees that behave the same print the same object.
@@ -31,6 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 
 RUN_MAIN = "import sys; from biham.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# the commands whose artifact is one JSON object
+JSON_COMMANDS = ("decompose", "verify")
 
 
 def load_workloads():
@@ -62,10 +67,14 @@ def digest(src: Path, command: str, config: Path, output: str, blas_threads: int
     with tempfile.TemporaryDirectory() as out:
         proc = run(out)
         artifact = Path(out) / output
+        data = artifact.read_bytes() if artifact.exists() else None
         result = {"exit": proc.returncode,
-                  "artifact": sha256(artifact.read_bytes()) if artifact.exists() else None,
+                  "artifact": None if data is None else sha256(data),
                   "stdout": sha256(proc.stdout),
                   "stderr": sha256(proc.stderr)}
+        if data is not None and command in JSON_COMMANDS:
+            result["fields"] = {key: sha256(json.dumps(value, sort_keys=True).encode())
+                                for key, value in json.loads(data).items()}
     with tempfile.TemporaryDirectory() as out:
         proc = run(out, "--validate-only")
         result["validate"] = {"exit": proc.returncode, "stdout": sha256(proc.stdout),
