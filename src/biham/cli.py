@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -418,33 +417,6 @@ def _initial_state(system, inputs, params, seed):
     return dynamics.StatePair(psi=psi0, phibar=phibar0, hbar=hbar)
 
 
-def _beside(main, side):
-    """``(main(), side())``, with ``side`` run on a second thread while ``main`` runs here.
-
-    numpy releases the GIL inside LAPACK and matmul, so the two run at once.
-    Both have ended when this returns or raises.  ``main`` holds the work that
-    comes first in the sequential order, so its exception wins over ``side``'s.
-    """
-    outcome = []
-
-    def run_side():
-        try:
-            outcome.append((side(), None))
-        except BaseException as exc:  # raised below, never printed by threading.excepthook
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=run_side)
-    thread.start()
-    try:
-        first = main()
-    finally:
-        thread.join()
-    value, exc = outcome[0]
-    if exc is not None:
-        raise exc
-    return first, value
-
-
 def _run_decompose(inputs, params, seed):
     system = spectral.biorthogonal_decompose(inputs["h"],
                                              tol=params.get("tol", spectral.DEFAULT_TOL))
@@ -558,11 +530,9 @@ CONTINUUM_HEADER = ["t", "Q_re", "Q_im", "continuity_residual", "right_norm"]
 def _run_continuum(inputs, params, seed):
     config, h, steps, dt = inputs["config"], inputs["h"], inputs["steps"], params["dt"]
     every = params.get("snapshot_every", 1)
-    # the step maps need no eigenvector, so they are built beside the eigenbasis;
-    # the preflight ran the step guard
-    state0, maps = _beside(
-        lambda: _initial_state(spectral.biorthogonal_decompose(h), inputs, params, seed),
-        lambda: dynamics._step_maps(h, dt, config.hbar, steps, every))
+    state0 = _initial_state(spectral.biorthogonal_decompose(h), inputs, params, seed)
+    # the preflight ran the step guard, so the maps are built without it
+    maps = dynamics._step_maps(h, dt, config.hbar, steps, every)
     snaps = dynamics.rk4_trajectory(h, state0, dt, steps, record_every=every, _maps=maps)
     # the time stencil of a row needs equal gaps: not the end rows, nor the
     # row before a shorter last interval

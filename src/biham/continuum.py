@@ -23,9 +23,9 @@ from .spectral import biorthogonal_decompose
 
 _MIN_POINTS = 8
 
-# grids above this are refused: the run decomposes a dense N x N generator and
-# raises it to powers, at a cost cubic in N (at this size, 20 480 steps recorded
-# 11 times took 11-14 s and 212 MB peak RSS on one BLAS thread of a 2-vCPU VM)
+# grids above this are refused: the run decomposes a dense N x N generator and raises
+# it to powers, at a cost cubic in N (at this size, 20 480 steps recorded 11 times took
+# 12-14 s on one BLAS thread, 8.6-9.9 s on two, and 178 MB peak RSS on a 2-vCPU VM)
 MAX_SITES = 1024
 
 

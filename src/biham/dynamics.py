@@ -363,8 +363,7 @@ def _step_maps(h, dt: float, hbar: float, steps: int, record_every: int):
     delta_psi, delta_phibar = _rk4_increments((-1j * dt / hbar) * h)
     ends = record_steps(steps, record_every)
     powers = {}
-    # an overflowing power is a detected condition, stepped singly; numpy's error
-    # state is per thread, so it is set here for a caller on any thread
+    # an overflowing power is a detected condition, stepped singly
     with np.errstate(over="ignore", invalid="ignore"):
         for m in (int(ends[1] - ends[0]), int(ends[-1] - ends[-2])):
             if m not in powers:

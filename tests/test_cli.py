@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -291,8 +290,7 @@ def test_main_adds_no_handler_to_the_root_logger(tmp_path):
     assert out == "[]\n"
 
 
-# verify with phibar0 runs its state checks beside the decomposition: the same
-# artifacts and errors as one thread
+# verify decomposes h, builds the state pair and then takes its report, in that order
 
 def verify_with_phibar0(**params):
     cfg = load_config(FIXTURES / "verify_random.json")
@@ -352,7 +350,6 @@ def test_verify_runs_on_the_calling_thread(tmp_path, monkeypatch, cfg):
         threads.append(threading.current_thread())
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_beside", raiser(AssertionError))
     monkeypatch.setattr(canonical, "gradient_fd_mismatch", record_thread)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -384,22 +381,31 @@ def test_decompose_runs_on_the_calling_thread(tmp_path, monkeypatch):
         threads.append(threading.current_thread())
         return cond.__get__(system)
 
-    monkeypatch.setattr(cli, "_beside", raiser(AssertionError))
     monkeypatch.setattr(spectral.BiorthogonalSystem, "cond", property(record_thread))
     assert run_cli("decompose", FIXTURES / "decompose_upper.json", tmp_path) == 0
     assert threads == [threading.current_thread()]
 
 
-# continuum builds its RK4 step maps beside the lattice eigenbasis and phibar0
+# no command starts a second thread
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_every_command_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch, fixture):
+    monkeypatch.setattr(threading.Thread, "start", raiser(AssertionError))
+    command = load_config(FIXTURES / fixture)["command"]
+    assert run_cli(command, FIXTURES / fixture, tmp_path) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+# continuum decomposes the lattice and builds phibar0, then its RK4 step maps
 
 @pytest.mark.parametrize("eigenbasis, maps, error", [
     (NotDiagonalizable, None, "not_diagonalizable"),
     (None, StepTooLarge, "step_too_large"),
     (ZeroModalCoefficient, StepTooLarge, "zero_modal_coefficient"),  # the eigenbasis first
     (NonFinite, MemoryError, "non_finite"),
-], ids=["main", "helper", "both", "both_non_finite"])
-def test_continuum_error_in_either_thread(tmp_path, capsys, monkeypatch, eigenbasis, maps,
-                                          error):
+], ids=["eigenbasis", "maps", "both", "both_non_finite"])
+def test_continuum_error_in_either_step(tmp_path, capsys, monkeypatch, eigenbasis, maps,
+                                        error):
     # the decomposition fails as NotDiagonalizable, phibar0's construction otherwise
     if eigenbasis is NotDiagonalizable:
         monkeypatch.setattr(spectral, "biorthogonal_decompose", raiser(eigenbasis))
@@ -411,23 +417,6 @@ def test_continuum_error_in_either_thread(tmp_path, capsys, monkeypatch, eigenba
     assert run_refused(tmp_path, capsys, cfg) == (3, error)
 
 
-def test_continuum_error_waits_for_the_helper_thread(tmp_path, capsys, monkeypatch):
-    # the eigenbasis fails at once, while the maps on the helper are still being built
-    done = []
-    build = dynamics._step_maps
-
-    def slow_maps(*args):
-        time.sleep(0.2)
-        done.append(True)
-        return build(*args)
-
-    monkeypatch.setattr(spectral, "biorthogonal_decompose", raiser(NotDiagonalizable))
-    monkeypatch.setattr(dynamics, "_step_maps", slow_maps)
-    cfg = load_config(FIXTURES / "continuum_gaussian.json")
-    assert run_refused(tmp_path, capsys, cfg) == (3, "not_diagonalizable")
-    assert done == [True]
-
-
 def lattice_config(N, snapshot_every, steps):
     cfg = load_config(FIXTURES / "continuum_gaussian.json")
     cfg["params"].update(N=N, snapshot_every=snapshot_every,
@@ -437,28 +426,9 @@ def lattice_config(N, snapshot_every, steps):
 
 @pytest.mark.parametrize("cfg", [
     load_config(FIXTURES / "continuum_gaussian.json"),
-    lattice_config(64, 7, 100),   # a shorter last interval: two composed powers
+    lattice_config(64, 7, 100),   # a shorter last interval: two powers, one more NaN residual
     lattice_config(16, 1, 40),    # every step recorded
 ], ids=["fixture", "N64_uneven", "N16_every_step"])
-def test_continuum_artifact_has_the_bits_of_the_sequential_order(tmp_path, capsys,
-                                                                 monkeypatch, cfg):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    before = threading.active_count()
-    assert run_cli("continuum", path, tmp_path / "beside") == 0
-    assert threading.active_count() == before
-    monkeypatch.setattr(cli, "_beside", lambda main, side: (main(), side()))
-    assert run_cli("continuum", path, tmp_path / "sequential") == 0
-    assert capsys.readouterr() == ("", "")
-    name = cfg["output"]
-    assert ((tmp_path / "beside" / name).read_bytes()
-            == (tmp_path / "sequential" / name).read_bytes())
-
-
-@pytest.mark.parametrize("cfg", [
-    load_config(FIXTURES / "continuum_gaussian.json"),
-    lattice_config(64, 7, 100),   # a shorter last interval: one more NaN residual
-], ids=["fixture", "N64_uneven"])
 def test_continuum_csv_has_the_bits_of_the_library(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
