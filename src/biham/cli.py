@@ -341,12 +341,12 @@ def _preflight(cfg: dict):
                 if state0 is not None and params["method"] == "exact":
                     # every mode grows or decays monotonically, so the last record
                     # is the largest: evaluating it is an exact overflow check
-                    check("params.t_final", dynamics.evolve_exact, system, state0,
-                          inputs["steps"] * params["dt"])
+                    check("params.t_final", dynamics.exact_records, system, state0,
+                          [inputs["steps"] * params["dt"]])
 
     elif command == "sweep":
         p = params["path"]
-        path = inputs["path"] = lorentzian.SweepPath.linear(
+        path = inputs["path"] = lorentzian.SweepPath(
             (p["x0"], p["y0"], p["z0"]), (p["x1"], p["y1"], p["z1"]),
             T=params["T"], samples=params.get("samples", lorentzian.DEFAULT_SAMPLES))
         check("params.dt", lorentzian.check_sweep_step, path, params["dt"], hbar)

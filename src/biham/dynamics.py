@@ -258,11 +258,6 @@ def exact_records(system: BiorthogonalSystem, state0: StatePair, durations) -> T
     return Trajectory(*_frozen(t, psi, phibar), state0.hbar)
 
 
-def evolve_exact(system: BiorthogonalSystem, state0: StatePair, t: float) -> StatePair:
-    """Propagate a state pair by duration ``t``: record 0 of :func:`exact_records`."""
-    return exact_records(system, state0, [t])[0]
-
-
 def check_step(h, dt: float, hbar: float) -> None:
     """Raise :class:`StepTooLarge` if ``dt * ||h||_2 / hbar`` exceeds the guard or is nan.
 
@@ -440,11 +435,6 @@ def rk4_trajectory(h, state0: StatePair, dt: float, steps: int,
         k = int(ends[bad])
         raise NonFinite(f"state overflowed by step {k} (t={state0.t + k * dt:.6g})")
     return Trajectory(*_frozen(t, psi_rows, phibar_rows), hbar)
-
-
-def evolve_rk4(h, state0: StatePair, dt: float, steps: int) -> StatePair:
-    """Final state of :func:`rk4_trajectory` after ``steps`` fixed RK4 steps."""
-    return rk4_trajectory(h, state0, dt, steps, record_every=steps)[-1]
 
 
 def overlap(state):

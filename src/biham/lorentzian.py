@@ -14,12 +14,12 @@ numbers) along slow parameter sweeps.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (MAX_STEP_FRACTION, StatePair, Trajectory, _absent,
-                       _first_non_finite_row, _frozen, conjugate_field, overlap, step_count)
+                       _first_non_finite_row, _frozen, overlap, step_count)
 from .errors import NonFinite, OutsideRealRegime, StepTooLarge
 from .spectral import BiorthogonalSystem
 
@@ -27,7 +27,10 @@ DEFAULT_SAMPLES = 201
 
 
 def _unit(x, y, z) -> float:
-    """:attr:`LorentzianParams.unit` of ``(x, y, z)``."""
+    """Power of two that puts ``(x, y, z) * unit`` where squares neither overflow nor
+    underflow: 1 while the largest magnitude lies in [2^-500, 2^500), where the closed
+    forms keep the bits of ``**`` (libm's pow, which an exact rescaling can round
+    differently), and otherwise the one that brings it into [0.5, 1)."""
     exponent = math.frexp(max(abs(x), abs(y), abs(z)))[1]
     return 1.0 if -500 < exponent <= 500 else math.ldexp(1.0, min(-exponent, 1023))
 
@@ -46,23 +49,12 @@ class LorentzianParams:
         return self.z * self.z - self.x * self.x - self.y * self.y
 
     @property
-    def unit(self) -> float:
-        """Power of two that puts ``(x, y, z) * unit`` where squares neither overflow nor
-        underflow: 1 while the largest magnitude lies in [2^-500, 2^500), where the closed
-        forms keep the bits of ``**`` (libm's pow, which an exact rescaling can round
-        differently), and otherwise the one that brings it into [0.5, 1)."""
-        return _unit(self.x, self.y, self.z)
-
-    @property
     def scaled_discriminant(self) -> float:
-        """The discriminant of ``(x, y, z) * unit``: its sign at every scale."""
-        unit = self.unit
+        """The discriminant of ``(x, y, z) * _unit(x, y, z)``: its sign at every scale,
+        nonnegative iff the spectrum is real."""
+        unit = _unit(self.x, self.y, self.z)
         x, y, z = self.x * unit, self.y * unit, self.z * unit
         return z * z - x * x - y * y
-
-    @property
-    def in_real_regime(self) -> bool:
-        return self.scaled_discriminant >= 0.0
 
     @property
     def spectral_norm(self) -> float:
@@ -94,7 +86,17 @@ class LorentzianEigenpair:
         return np.array([[u, -np.conj(v)], [-v, np.conj(u)]], dtype=complex)
 
     def system(self) -> BiorthogonalSystem:
-        """The closed-form eigenbasis: eigenvalues ``(E, -E)``, unsorted, and these columns."""
+        """The closed-form eigenbasis: eigenvalues ``(E, -E)``, unsorted, and these columns.
+
+        On it, :func:`biham.dynamics.conjugate_field` of a state ``psi`` with
+        constants ``csq`` has closed form: with ``d_1 = u* psi_1 - v* psi_2`` and
+        ``d_2 = -v psi_1 + u psi_2`` (the modal coefficients ``<b_j|psi>``),
+
+            phibar_1 =  csq_1 u* / d_1  -  csq_2 v / d_2,
+            phibar_2 = -csq_1 v* / d_1  +  csq_2 u / d_2,
+
+        dropping each term whose ``csq_j`` is zero.
+        """
         return BiorthogonalSystem([self.E, -self.E], self.right_vectors(), self.left_vectors())
 
 
@@ -146,26 +148,12 @@ def _closed_form(x0, y0, z0):
     return complex(u), complex(v), sign * root / unit
 
 
-def lorentzian_conjugate(p: LorentzianParams, psi, csq) -> np.ndarray:
-    """Conjugate field of a two-component state in the closed-form eigenbasis.
-
-    With ``d_1 = u* psi_1 - v* psi_2`` and ``d_2 = -v psi_1 + u psi_2`` (the
-    modal coefficients ``<b_j|psi>``):
-
-        phibar_1 =  csq_1 u* / d_1  -  csq_2 v / d_2,
-        phibar_2 = -csq_1 v* / d_1  +  csq_2 u / d_2,
-
-    dropping each term whose ``csq_j`` is zero: this is
-    :func:`biham.dynamics.conjugate_field` on :meth:`LorentzianEigenpair.system`.
-    """
-    return conjugate_field(lorentzian_uv(p).system(), psi, csq)
-
-
 @dataclass
 class SweepPath:
     """Segment ``start`` -> ``end`` in (x, y, z), swept in time ``T``, recorded ``samples`` times.
 
-    Its two endpoints decide the regime and step checks exactly.
+    Its two endpoints decide the regime and step checks exactly.  ``start`` and
+    ``end`` are stored as tuples.
     """
 
     start: tuple
@@ -174,15 +162,11 @@ class SweepPath:
     samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
+        self.start, self.end = tuple(self.start), tuple(self.end)
         if not self.T > 0:
             raise ValueError("duration T must be positive")
         if self.samples < 2:
             raise ValueError("at least two samples required")
-
-    @classmethod
-    def linear(cls, start, end, T: float, samples: int = DEFAULT_SAMPLES) -> "SweepPath":
-        """Straight-line interpolation between two (x, y, z) triples."""
-        return cls(tuple(start), tuple(end), T, samples)
 
     def params_at(self, s: float) -> LorentzianParams:
         return LorentzianParams(*self.point_at(s))
@@ -237,10 +221,7 @@ class ActionRecord:
     times: np.ndarray
     actions: np.ndarray
     deviations: np.ndarray
-    overlaps: np.ndarray = field(default=None)
-
-    def max_deviation(self) -> float:
-        return float(np.max(self.deviations))
+    overlaps: np.ndarray
 
 
 def initial_sweep_state(path: SweepPath, csq, hbar: float = 1.0) -> StatePair:

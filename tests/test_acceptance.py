@@ -21,18 +21,17 @@ from biham.cli import main as cli_main
 from biham.continuum import (
     ContinuumConfig,
     complex_gaussian_potential,
-    continuity_residual,
+    continuity_residuals,
     discretize,
     gaussian_packet,
-    initial_lattice_state,
     lattice_charge,
 )
 from biham.dynamics import (
     ModalCoordinates,
     StatePair,
     conjugate_field,
-    evolve_exact,
-    evolve_rk4,
+    exact_records,
+    initial_state,
     overlap,
     phase_rotated,
     right_norm,
@@ -43,7 +42,6 @@ from biham.lorentzian import (
     LorentzianParams,
     SweepPath,
     initial_sweep_state,
-    lorentzian_conjugate,
     lorentzian_matrix,
     lorentzian_uv,
     sweep_adiabatic,
@@ -119,8 +117,8 @@ def test_c03_propagator_cross_validation():
             h, _, _ = random_diagonalizable(rng, n)
             system = biorthogonal_decompose(h)
             st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n))
-            end = evolve_rk4(h, st, dt=1e-3, steps=1000)
-            ref = evolve_exact(system, st, 1.0)
+            end = rk4_trajectory(h, st, dt=1e-3, steps=1000, record_every=1000)[-1]
+            ref = exact_records(system, st, [1.0])[0]
             assert np.linalg.norm(end.psi - ref.psi) <= 1e-6
 
 
@@ -160,7 +158,7 @@ def test_c05_canonical_equivalence():
             st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n))
             v0 = hamiltonian_value(h, st)
             for t in np.linspace(0.5, 10.0, 8):
-                assert abs(hamiltonian_value(h, evolve_exact(system, st, float(t)))
+                assert abs(hamiltonian_value(h, exact_records(system, st, [float(t)])[0])
                            - v0) <= 1e-12
 
 
@@ -181,7 +179,7 @@ def test_c06_lorentzian_closed_forms():
             coeff = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi = pair.right_vectors() @ coeff
             csq = np.array([rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)])
-            closed = lorentzian_conjugate(p, psi, csq)
+            closed = conjugate_field(pair.system(), psi, csq)
             system = biorthogonal_decompose(h)
             closed_evals = np.array([pair.E, -pair.E])
             perm = [int(np.argmin(np.abs(closed_evals - e)))
@@ -197,17 +195,17 @@ def test_c07_adiabatic_invariance():
         start = time.perf_counter()
         deviations = {}
         for T in (50.0, 100.0, 200.0, 400.0):
-            path = SweepPath.linear((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=T)
+            path = SweepPath((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=T)
             st = initial_sweep_state(path, [1.0, 0.0])
-            deviations[T] = sweep_adiabatic(path, st, dt=SWEEP_DT).max_deviation()
+            deviations[T] = np.max(sweep_adiabatic(path, st, dt=SWEEP_DT).deviations)
         ordered = [deviations[T] for T in (50.0, 100.0, 200.0, 400.0)]
         assert all(b <= a for a, b in zip(ordered, ordered[1:])), ordered
         assert deviations[400.0] <= deviations[50.0] / 4.0
         assert deviations[100.0] == pytest.approx(FROZEN_SWEEP_MAX_DEVIATION, abs=1e-6)
         # frozen value reproduces across runs
-        path = SweepPath.linear((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=100.0)
+        path = SweepPath((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=100.0)
         st = initial_sweep_state(path, [1.0, 0.0])
-        rerun = sweep_adiabatic(path, st, dt=SWEEP_DT).max_deviation()
+        rerun = np.max(sweep_adiabatic(path, st, dt=SWEEP_DT).deviations)
         assert rerun == pytest.approx(deviations[100.0], abs=1e-6)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"runtime {elapsed:.2f}s exceeds 30s"
@@ -221,7 +219,7 @@ def test_c08_continuum_conservation():
         V = complex_gaussian_potential(x, center=8.0, width=1.5, amplitude=0.8 - 0.3j)
         psi0 = gaussian_packet(x, center=12.0, width=1.2, momentum=1.0)
         h = discretize(config, V)
-        state0 = initial_lattice_state(config, V, psi0)
+        state0 = initial_state(biorthogonal_decompose(h), psi0, hbar=config.hbar)
         q0 = lattice_charge(state0, config.dx)
 
         snaps = rk4_trajectory(h, state0, dt=1e-4, steps=10000, record_every=500)
@@ -241,11 +239,12 @@ def test_c08_continuum_conservation():
             xs = cfg.grid()
             pot = complex_gaussian_potential(xs, center=8.0, width=1.5,
                                              amplitude=0.8 - 0.3j)
-            f0 = initial_lattice_state(
-                cfg, pot, gaussian_packet(xs, center=12.0, width=1.2, momentum=1.0))
-            series = rk4_trajectory(discretize(cfg, pot), f0, dt=2.5e-4, steps=8,
-                                    record_every=2)
-            return continuity_residual(series, cfg)
+            h_n = discretize(cfg, pot)
+            f0 = initial_state(biorthogonal_decompose(h_n),
+                               gaussian_packet(xs, center=12.0, width=1.2, momentum=1.0),
+                               hbar=cfg.hbar)
+            series = rk4_trajectory(h_n, f0, dt=2.5e-4, steps=8, record_every=2)
+            return np.max(continuity_residuals(series, cfg))
 
         ratio = residual(64) / residual(128)
         assert 3.0 <= ratio <= 5.5, f"dx-halving ratio {ratio:.2f}"

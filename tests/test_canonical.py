@@ -13,7 +13,7 @@ from biham.canonical import (
     modal_hamiltonian,
     rhs_mismatch,
 )
-from biham.dynamics import ModalCoordinates, StatePair, evolve_exact, schrodinger_rhs
+from biham.dynamics import ModalCoordinates, StatePair, exact_records, schrodinger_rhs
 from biham.lorentzian import LorentzianParams, lorentzian_matrix
 from biham.spectral import biorthogonal_decompose
 
@@ -146,8 +146,8 @@ def test_energy_conserved_along_exact_trajectory():
         sys_n = biorthogonal_decompose(h)
         st = StatePair(psi=random_state(rng, n), phibar=random_state(rng, n))
         v0 = hamiltonian_value(h, st)
-        for t in np.linspace(0.5, 10.0, 8):
-            vt = hamiltonian_value(h, evolve_exact(sys_n, st, float(t)))
+        for state in exact_records(sys_n, st, np.linspace(0.5, 10.0, 8)):
+            vt = hamiltonian_value(h, state)
             assert abs(vt - v0) <= 1e-12
 
 

@@ -444,10 +444,10 @@ def test_continuum_csv_has_the_bits_of_the_library(tmp_path, cfg):
                                              pot["amp_re"] + 1j * pot["amp_im"])
     psi0 = continuum.gaussian_packet(x, init["center"], init["width"], init["momentum"],
                                      config.hbar)
-    state0 = continuum.initial_lattice_state(config, V, psi0)
+    h = continuum.discretize(config, V)
+    state0 = dynamics.initial_state(spectral.biorthogonal_decompose(h), psi0, hbar=config.hbar)
     steps, every = round(params["t_final"] / params["dt"]), params["snapshot_every"]
-    snaps = dynamics.rk4_trajectory(continuum.discretize(config, V), state0, params["dt"],
-                                    steps, record_every=every)
+    snaps = dynamics.rk4_trajectory(h, state0, params["dt"], steps, record_every=every)
     # no time stencil in the end rows, nor before a shorter last interval
     last = len(snaps) - 1 if steps % every == 0 else len(snaps) - 2
     resid = np.full(len(snaps), np.nan)

@@ -6,16 +6,21 @@ from biham.canonical import hamiltonian_value
 from biham.continuum import (
     ContinuumConfig,
     complex_gaussian_potential,
-    continuity_residual,
     continuity_residuals,
     discretize,
     gaussian_packet,
-    initial_lattice_state,
     lattice_charge,
     lattice_current,
     plane_wave,
 )
-from biham.dynamics import StatePair, Trajectory, evolve_exact, phase_rotated, rk4_trajectory
+from biham.dynamics import (
+    StatePair,
+    Trajectory,
+    exact_records,
+    initial_state,
+    phase_rotated,
+    rk4_trajectory,
+)
 from biham.errors import InsufficientSnapshots
 from biham.spectral import (
     biorthogonal_decompose,
@@ -86,29 +91,29 @@ class TestCharge:
 
     def test_conserved_under_evolution(self):
         cfg, V, psi0 = reference_setup()
-        f0 = initial_lattice_state(cfg, V, psi0)
+        h = discretize(cfg, V)
+        f0 = initial_state(biorthogonal_decompose(h), psi0)
         q0 = lattice_charge(f0, cfg.dx)
-        snaps = rk4_trajectory(discretize(cfg, V), f0, dt=1e-3, steps=1000, record_every=100)
+        snaps = rk4_trajectory(h, f0, dt=1e-3, steps=1000, record_every=100)
         drift = max(abs(lattice_charge(s, cfg.dx) - q0) for s in snaps)
         assert drift <= 1e-8
 
     def test_conserved_under_exact_evolution(self):
         cfg, V, psi0 = reference_setup(N=32)
-        f0 = initial_lattice_state(cfg, V, psi0)
-        q0 = lattice_charge(f0, cfg.dx)
         system = biorthogonal_decompose(discretize(cfg, V))
-        for t in (0.5, 2.0, 7.0):
-            s = evolve_exact(system, f0, t)
+        f0 = initial_state(system, psi0)
+        q0 = lattice_charge(f0, cfg.dx)
+        for s in exact_records(system, f0, [0.5, 2.0, 7.0]):
             assert abs(lattice_charge(s, cfg.dx) - q0) <= 1e-12
 
     def test_drift_scales_with_dt(self):
         cfg, V, psi0 = reference_setup()
-        f0 = initial_lattice_state(cfg, V, psi0)
+        h = discretize(cfg, V)
+        f0 = initial_state(biorthogonal_decompose(h), psi0)
         q0 = lattice_charge(f0, cfg.dx)
 
         def drift(dt):
-            snaps = rk4_trajectory(discretize(cfg, V), f0, dt=dt, steps=round(1.0 / dt),
-                                   record_every=20)
+            snaps = rk4_trajectory(h, f0, dt=dt, steps=round(1.0 / dt), record_every=20)
             return max(abs(lattice_charge(s, cfg.dx) - q0) for s in snaps)
 
         assert drift(0.005) <= drift(0.01) / 8.0
@@ -141,18 +146,22 @@ class TestCurrent:
 class TestContinuity:
     def test_needs_three_snapshots(self):
         cfg, V, psi0 = reference_setup(N=16)
-        f0 = initial_lattice_state(cfg, V, psi0)
-        snaps = rk4_trajectory(discretize(cfg, V), f0, dt=1e-3, steps=1)
+        h = discretize(cfg, V)
+        f0 = initial_state(biorthogonal_decompose(h), psi0)
+        snaps = rk4_trajectory(h, f0, dt=1e-3, steps=1)
         assert len(snaps) == 2
         with pytest.raises(InsufficientSnapshots):
-            continuity_residual(snaps, cfg)
+            continuity_residuals(snaps, cfg)
 
     def test_uneven_spacing_rejected(self):
         cfg, V, psi0 = reference_setup(N=16)
-        f0 = initial_lattice_state(cfg, V, psi0)
-        snaps = stacked([0.0, 0.1, 0.3], [f0.psi] * 3, [f0.phibar] * 3)
-        with pytest.raises(ValueError):
-            continuity_residual(snaps, cfg)
+        f0 = initial_state(biorthogonal_decompose(discretize(cfg, V)), psi0)
+        # the gaps are compared relative to the first at every scale: 1:2 gaps of
+        # 1e-13 are refused as those of 0.1 are
+        for times in ([0.0, 0.1, 0.3], [0.0, 1e-13, 3e-13]):
+            snaps = stacked(times, [f0.psi] * 3, [f0.phibar] * 3)
+            with pytest.raises(ValueError, match="equally spaced"):
+                continuity_residuals(snaps, cfg)
 
     def test_overflowing_density_gives_nan(self):
         # phibar psi = 1e400 at every site: the time difference is inf - inf
@@ -160,7 +169,7 @@ class TestContinuity:
         big = np.full(8, 1e200)
         snaps = stacked([0.0, 0.1, 0.2], [big] * 3, [big] * 3)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(continuity_residual(snaps, cfg))
+            assert np.isnan(np.max(continuity_residuals(snaps, cfg)))
 
     @pytest.mark.parametrize("rows, sites", [(1001, 256), (29, 64), (600, 1024)])
     def test_stacked_residuals_equal_each_window_bitwise(self, rows, sites):
@@ -190,7 +199,6 @@ class TestContinuity:
         want = np.array([window(k) for k in range(1, rows - 1)])
         got = continuity_residuals(snaps, cfg)
         assert got.tobytes() == want.tobytes()
-        assert continuity_residual(snaps, cfg) == np.max(want)
 
     def test_stationary_hermitian_eigenmode(self):
         cfg = ContinuumConfig(L=10.0, N=32)
@@ -202,14 +210,15 @@ class TestContinuity:
         times = (0.0, 0.01, 0.02)
         phases = [np.exp(-1j * system.eigenvalues[0].real * t) for t in times]
         snaps = stacked(times, [mode * p for p in phases], [mode.conj() / p for p in phases])
-        assert continuity_residual(snaps, cfg) <= 1e-10
+        assert np.max(continuity_residuals(snaps, cfg)) <= 1e-10
 
     def test_second_order_in_dx(self):
         def residual(N):
             cfg, V, psi0 = reference_setup(N=N)
-            f0 = initial_lattice_state(cfg, V, psi0)
-            snaps = rk4_trajectory(discretize(cfg, V), f0, dt=2.5e-4, steps=8, record_every=2)
-            return continuity_residual(snaps, cfg)
+            h = discretize(cfg, V)
+            f0 = initial_state(biorthogonal_decompose(h), psi0)
+            snaps = rk4_trajectory(h, f0, dt=2.5e-4, steps=8, record_every=2)
+            return np.max(continuity_residuals(snaps, cfg))
 
         ratio = residual(64) / residual(128)
         assert 3.0 <= ratio <= 5.5
@@ -232,7 +241,7 @@ class TestContinuity:
         def residual(delta, center=1.0):
             times = [center - delta, center, center + delta]
             snaps = stacked(times, [psi(t) for t in times], [phibar(t) for t in times])
-            return continuity_residual(snaps, cfg)
+            return np.max(continuity_residuals(snaps, cfg))
 
         r4, r2, r1 = residual(0.4), residual(0.2), residual(0.1)
         assert r4 / r2 == pytest.approx(4.0, rel=0.4)
@@ -245,9 +254,9 @@ class TestSymmetry:
     @pytest.mark.parametrize("alpha", [0.1, 1.0, np.pi])
     def test_phase_rotation_invariance(self, alpha):
         cfg, V, psi0 = reference_setup()
-        f0 = initial_lattice_state(cfg, V, psi0)
-        rotated = phase_rotated(f0, alpha)
         h = discretize(cfg, V)
+        f0 = initial_state(biorthogonal_decompose(h), psi0)
+        rotated = phase_rotated(f0, alpha)
         assert abs(hamiltonian_value(h, rotated) * cfg.dx
                    - hamiltonian_value(h, f0) * cfg.dx) <= 1e-12
         assert abs(lattice_charge(rotated, cfg.dx)
@@ -260,11 +269,12 @@ class TestHermitianReduction:
         x = cfg.grid()
         V = (0.5 * np.exp(-((x - 9.0) ** 2) / 4.0)).astype(complex)
         psi0 = gaussian_packet(x, center=11.0, width=1.5, momentum=0.5)
-        f0 = initial_lattice_state(cfg, V, psi0)
+        h = discretize(cfg, V)
+        f0 = initial_state(biorthogonal_decompose(h), psi0)
         assert_allclose(f0.phibar, psi0.conj(), atol=1e-10)
         q0 = lattice_charge(f0, cfg.dx)
         assert q0 == pytest.approx(1.0, abs=1e-10)
-        snaps = rk4_trajectory(discretize(cfg, V), f0, dt=1e-3, steps=500, record_every=100)
+        snaps = rk4_trajectory(h, f0, dt=1e-3, steps=500, record_every=100)
         for s in snaps:
             assert abs(lattice_charge(s, cfg.dx) - q0) <= 1e-8
             norm = np.sum(np.abs(s.psi) ** 2) * cfg.dx

@@ -13,10 +13,9 @@ from biham.dynamics import (
     _step_maps,
     check_step,
     conjugate_field,
-    evolve_exact,
-    evolve_rk4,
     exact_records,
     expand_state,
+    initial_state,
     overlap,
     record_count,
     record_steps,
@@ -119,7 +118,7 @@ class TestEvolveExact:
         h, _, _ = random_diagonalizable(rng, 3)
         sys3 = biorthogonal_decompose(h)
         st = StatePair(psi=random_state(rng, 3), phibar=random_state(rng, 3))
-        out = evolve_exact(sys3, st, 0.0)
+        out = exact_records(sys3, st, [0.0])[0]
         assert_allclose(out.psi, st.psi, atol=1e-14)
         assert_allclose(out.phibar, st.phibar, atol=1e-14)
 
@@ -127,7 +126,7 @@ class TestEvolveExact:
         sys2 = biorthogonal_decompose(np.diag([1.0, -1.0]))
         psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
         st = _conjugate_pair(psi0)
-        out = evolve_exact(sys2, st, np.pi)
+        out = exact_records(sys2, st, [np.pi])[0]
         assert_allclose(out.psi, -psi0, atol=1e-12)
         assert overlap(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -138,8 +137,8 @@ class TestEvolveExact:
         phibar0 = conjugate_field(sys2, psi0, np.abs(expand_state(sys2, psi0)) ** 2)
         st = StatePair(psi=psi0, phibar=phibar0)
         c0 = np.abs(expand_state(sys2, st.psi))
-        for t in (0.5, 2.0, 9.0):
-            ct = np.abs(expand_state(sys2, evolve_exact(sys2, st, t).psi))
+        for out in exact_records(sys2, st, [0.5, 2.0, 9.0]):
+            ct = np.abs(expand_state(sys2, out.psi))
             assert_allclose(ct, c0, atol=1e-10)
 
     def test_overlap_and_modal_products_conserved(self):
@@ -149,8 +148,7 @@ class TestEvolveExact:
         st = StatePair(psi=random_state(rng, 6), phibar=random_state(rng, 6))
         q0 = overlap(st)
         m0 = ModalCoordinates.from_state(sys6, st)
-        for t in (0.3, 1.7, 5.0):
-            out = evolve_exact(sys6, st, t)
+        for out in exact_records(sys6, st, [0.3, 1.7, 5.0]):
             assert abs(overlap(out) - q0) <= 1e-12 * max(1.0, abs(q0))
             mt = ModalCoordinates.from_state(sys6, out)
             assert_allclose(mt.cbar * mt.c, m0.cbar * m0.c, atol=1e-12)
@@ -179,7 +177,7 @@ class TestExactRecords:
             want_phibar = system.left.conj() @ (cbar0 / phase)
             assert np.array_equal(psi[k].view(np.int64), want_psi.view(np.int64))
             assert np.array_equal(phibar[k].view(np.int64), want_phibar.view(np.int64))
-            one = evolve_exact(system, st, t)
+            one = exact_records(system, st, [t])[0]
             assert one.t == st.t + t
             assert one.psi.tobytes() == psi[k].tobytes()
             assert one.phibar.tobytes() == phibar[k].tobytes()
@@ -190,7 +188,7 @@ class TestExactRecords:
         psi = exact_records(system, st, [0.0, 100.0]).psi
         assert np.all(np.isfinite(psi))
         with pytest.raises(NonFinite) as one:
-            evolve_exact(system, st, 200.0)
+            exact_records(system, st, [200.0])
         with pytest.raises(NonFinite) as stacked:
             exact_records(system, st, [0.0, 100.0, 200.0, 300.0])
         assert str(stacked.value) == str(one.value) == "state overflowed by t=200.5"
@@ -202,8 +200,8 @@ class TestEvolveRk4:
         h, _, _ = random_diagonalizable(rng, 4)
         sys4 = biorthogonal_decompose(h)
         st = StatePair(psi=random_state(rng, 4), phibar=random_state(rng, 4))
-        end = evolve_rk4(h, st, dt=1e-3, steps=1000)
-        ref = evolve_exact(sys4, st, 1.0)
+        end = rk4_trajectory(h, st, dt=1e-3, steps=1000, record_every=1000)[-1]
+        ref = exact_records(sys4, st, [1.0])[0]
         assert np.linalg.norm(end.psi - ref.psi) <= 1e-6
         assert np.linalg.norm(end.phibar - ref.phibar) <= 1e-6
 
@@ -235,14 +233,14 @@ class TestEvolveRk4:
         h = np.diag([5.0, -5.0])
         st = _conjugate_pair(np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(StepTooLarge):
-            evolve_rk4(h, st, dt=0.2, steps=10)
+            rk4_trajectory(h, st, dt=0.2, steps=10, record_every=10)
 
     def test_growing_mode_overflows_to_nonfinite(self):
         # complex spectrum +-i*sqrt(3): one mode grows like exp(sqrt(3) t)
         h = lorentzian_matrix(LorentzianParams(2.0, 0.0, 1.0))
         st = _conjugate_pair(np.array([1.0, 0.5], dtype=complex))
         with pytest.raises(NonFinite):
-            evolve_rk4(h, st, dt=0.1, steps=5000)
+            rk4_trajectory(h, st, dt=0.1, steps=5000, record_every=5000)
 
     def test_complex_spectrum_norm_not_constant(self):
         h = lorentzian_matrix(LorentzianParams(2.0, 0.0, 1.0))
@@ -393,8 +391,8 @@ def _lattice_records(n):
     config = ContinuumConfig(L=10.0, N=n)
     x = config.grid()
     V = continuum.complex_gaussian_potential(x, 4.0, 1.0, 0.6 - 0.2j)
-    st = continuum.initial_lattice_state(config, V, continuum.gaussian_packet(x, 6.0, 1.0, 1.5))
     h = continuum.discretize(config, V)
+    st = initial_state(biorthogonal_decompose(h), continuum.gaussian_packet(x, 6.0, 1.0, 1.5))
     return rk4_trajectory(h, st, 1e-3, 300, record_every=9), config.dx
 
 
@@ -492,13 +490,13 @@ def test_exact_records_memory_peak():
 
 
 NAN = float("nan")
-_PATH = SweepPath.linear((0.5, 0.0, 2.0), (0.5, 0.0, 3.0), T=10.0)
+_PATH = SweepPath((0.5, 0.0, 2.0), (0.5, 0.0, 3.0), T=10.0)
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: biorthogonal_decompose([[1, 1], [0, 1]], tol=NAN), ValueError, "tol must"),
     (lambda: StatePair(psi=[1.0], phibar=[1.0], hbar=NAN), ValueError, "hbar must"),
-    (lambda: SweepPath.linear((0.5, 0.0, 2.0), (0.5, 0.0, 3.0), T=NAN), ValueError,
+    (lambda: SweepPath((0.5, 0.0, 2.0), (0.5, 0.0, 3.0), T=NAN), ValueError,
      "duration T must"),
     (lambda: check_step(np.eye(2), NAN, 1.0), ValueError, "dt must"),
     (lambda: check_sweep_step(_PATH, NAN), ValueError, "dt must"),

@@ -18,7 +18,7 @@ import pytest
 
 import biham
 from biham.cli import load_config, main, run_config, validate_config
-from biham.dynamics import MAX_STEP_FRACTION, StatePair, evolve_exact
+from biham.dynamics import MAX_STEP_FRACTION, StatePair, exact_records
 from biham.errors import ConfigError, NonFinite, OutsideRealRegime, StepTooLarge
 from biham.io import read_json
 from biham.lorentzian import (
@@ -64,14 +64,14 @@ class TestExactRegime:
     def test_sign_change_rejected_by_validation_and_sweep(self, start, end):
         diags = validate_config(sweep_config(start, end))
         assert len(diags) == 1 and "real-spectrum" in diags[0]
-        path = SweepPath.linear(start, end, T=10.0)
+        path = SweepPath(start, end, T=10.0)
         with pytest.raises(OutsideRealRegime):
             sweep_adiabatic(path, initial_sweep_state(path, [1.0, 0.0]), dt=0.01)
 
     def test_grazing_path_slips_between_samples(self):
         # the margin z^2 - x^2 - y^2 is negative only in a window of width
         # ~3e-4 in s, which 257 evenly spaced samples all miss
-        path = SweepPath.linear(*GRAZING, T=10.0)
+        path = SweepPath(*GRAZING, T=10.0)
         samples = [path.params_at(s).discriminant for s in np.linspace(0.0, 1.0, 257)]
         assert min(samples) > 0.0
         with pytest.raises(OutsideRealRegime):
@@ -79,19 +79,19 @@ class TestExactRegime:
 
     def test_endpoint_on_boundary_rejected(self):
         with pytest.raises(OutsideRealRegime):
-            check_real_regime(SweepPath.linear((0.0, 0.0, 2.0), (1.0, 0.0, 1.0), T=1.0))
+            check_real_regime(SweepPath((0.0, 0.0, 2.0), (1.0, 0.0, 1.0), T=1.0))
 
     def test_interior_paths_accepted_for_both_signs_of_z(self):
         for sign in (1.0, -1.0):
-            check_real_regime(SweepPath.linear((0.5, 0.5, 2.0 * sign), (-0.9, 0.3, 1.0 * sign),
-                                               T=1.0))
+            check_real_regime(SweepPath((0.5, 0.5, 2.0 * sign), (-0.9, 0.3, 1.0 * sign),
+                                        T=1.0))
 
     def test_agrees_with_the_exact_minimum_on_random_segments(self):
         rng = np.random.default_rng(11)
         s_grid = np.linspace(0.0, 1.0, 401)
         for _ in range(400):
             start, end = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
-            path = SweepPath.linear(start, end, T=1.0)
+            path = SweepPath(start, end, T=1.0)
             points = list(s_grid)
             if start[2] != end[2]:
                 crossing = start[2] / (start[2] - end[2])
@@ -111,7 +111,7 @@ class TestExactStepGuard:
         rng = np.random.default_rng(12)
         for _ in range(200):
             start, end = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3)
-            path = SweepPath.linear(start, end, T=1.0)
+            path = SweepPath(start, end, T=1.0)
             dt = rng.uniform(0.01, 0.3)
             sampled = max(path.params_at(s).spectral_norm for s in np.linspace(0, 1, 201))
             steps = max(1, round(path.T / dt))
@@ -128,7 +128,7 @@ class TestExactStepGuard:
         cfg = sweep_config((0.0, 0.0, 1.1), (0.0, 0.0, 1.1), T=1.0, dt=0.44)
         diags = validate_config(cfg)
         assert len(diags) == 1 and "stability" in diags[0]
-        path = SweepPath.linear((0.0, 0.0, 1.1), (0.0, 0.0, 1.1), T=1.0)
+        path = SweepPath((0.0, 0.0, 1.1), (0.0, 0.0, 1.1), T=1.0)
         with pytest.raises(StepTooLarge):
             sweep_adiabatic(path, initial_sweep_state(path, [1.0, 0.0]), dt=0.44)
 
@@ -181,11 +181,11 @@ class TestConfigRules:
         h = np.diag([5j, -5j])
         system = biorthogonal_decompose(h)
         state = StatePair(psi=np.array([1.0, 1.0]), phibar=np.array([1.0, 1.0]))
-        assert np.all(np.isfinite(evolve_exact(system, state, 100.0).psi))
+        assert np.all(np.isfinite(exact_records(system, state, [100.0]).psi))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(NonFinite):
-                evolve_exact(system, state, 200.0)
+                exact_records(system, state, [200.0])
 
 
 # ---------------------------------------------------------------------------

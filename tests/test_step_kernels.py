@@ -433,7 +433,7 @@ def test_sweep_kernel_matches_stagewise_rk4(seed, samples):
     hbar = float(rng.uniform(0.5, 2.0))
     T, dt = float(rng.uniform(1.0, 20.0)), float(rng.uniform(0.005, 0.02))
     steps = step_count(T, dt)
-    path = SweepPath.linear(start, end, T, samples=samples or steps + 1)
+    path = SweepPath(start, end, T, samples=samples or steps + 1)
     state0 = initial_sweep_state(path, csq, hbar)
     assert_same_sweep(sweep_adiabatic(path, state0, dt), stagewise_sweep(path, state0, dt))
 
@@ -454,7 +454,7 @@ B = lorentzian._BLOCK
 ])
 def test_sweep_kernel_block_edges(monkeypatch, block, steps, samples):
     monkeypatch.setattr(lorentzian, "_BLOCK", block)
-    path = SweepPath.linear((0.4, -0.3, 2.0), (0.9, 0.5, 3.5), T=steps * 0.01, samples=samples)
+    path = SweepPath((0.4, -0.3, 2.0), (0.9, 0.5, 3.5), T=steps * 0.01, samples=samples)
     state0 = initial_sweep_state(path, [1.0, 0.3])
     assert_same_sweep(sweep_adiabatic(path, state0, 0.01), stagewise_sweep(path, state0, 0.01))
 
@@ -464,7 +464,7 @@ def test_sweep_overflow_reported_at_the_same_sample(monkeypatch, block):
     # outside the real regime the modes grow as exp(10 t): the state passes
     # the float range near t = 71, between the samples at t = 70 and t = 80
     monkeypatch.setattr(lorentzian, "_BLOCK", block)
-    path = SweepPath.linear((10.0, 0.0, 0.5), (10.0, 0.0, 1.0), T=100.0, samples=11)
+    path = SweepPath((10.0, 0.0, 0.5), (10.0, 0.0, 1.0), T=100.0, samples=11)
     state0 = StatePair(psi=np.array([1.0, 0.5j]), phibar=np.array([0.5, 1.0]))
     # the reference's overlaps overflow at the samples before the state does
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -481,7 +481,7 @@ def test_sweep_overflow_reported_at_the_same_sample(monkeypatch, block):
 
 def test_sweep_memory_does_not_grow_with_steps():
     def peak(steps):
-        path = SweepPath.linear((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=steps * 0.0025, samples=2)
+        path = SweepPath((1.0, 0.0, 3.0), (1.0, 0.0, 5.0), T=steps * 0.0025, samples=2)
         state0 = initial_sweep_state(path, [1.0, 0.0])
         tracemalloc.start()
         try:
@@ -503,7 +503,7 @@ def test_sweep_chunks_reuse_their_heap(pad):
     code = textwrap.dedent("""
         import resource
         from biham.lorentzian import SweepPath, initial_sweep_state, sweep_adiabatic
-        path = SweepPath.linear((0.3, 0.1, 2.0), (0.6, -0.2, 3.0), T=1600.0)
+        path = SweepPath((0.3, 0.1, 2.0), (0.6, -0.2, 3.0), T=1600.0)
         state0 = initial_sweep_state(path, [1.0, 0.4])
         sweep_adiabatic(path, state0, 0.01)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -619,7 +619,7 @@ def test_phibar_pieces_are_psi_pieces_conjugated(seed):
     steps = int(rng.integers(5, 3001))
     samples = int(rng.integers(2, 51))
     hbar = float(rng.choice([1.0, rng.uniform(0.5, 2.0)]))
-    path = SweepPath.linear(start, end, T=steps * 0.01, samples=samples)
+    path = SweepPath(start, end, T=steps * 0.01, samples=samples)
     marks = np.unique(np.round(np.linspace(0, steps, samples)).astype(int))
     cuts = np.union1d(marks, np.append(np.arange(0, steps, lorentzian._BLOCK), steps))
     dt = path.T / steps
@@ -650,7 +650,7 @@ def test_sweep_equals_the_two_field_kernel_bitwise(seed):
     steps = int(rng.integers(5, 3001))
     samples = int(rng.integers(2, 51))
     hbar = float(rng.choice([1.0, rng.uniform(0.5, 2.0)]))
-    path = SweepPath.linear(start, end, T=steps * 0.01, samples=samples)
+    path = SweepPath(start, end, T=steps * 0.01, samples=samples)
     state0 = initial_sweep_state(path, csq, hbar)
     assert_bitwise_sweep(sweep_adiabatic(path, state0, 0.01), two_field_sweep(path, state0, 0.01))
 
@@ -670,7 +670,7 @@ def chunk_cut_cases(C):
 def assert_chunked_sweep_bitwise(monkeypatch, chunk, block, steps, samples):
     monkeypatch.setattr(lorentzian, "_CHUNK", chunk)
     monkeypatch.setattr(lorentzian, "_BLOCK", block)
-    path = SweepPath.linear((0.4, -0.3, -2.0), (0.9, 0.5, -3.5), T=steps * 0.01, samples=samples)
+    path = SweepPath((0.4, -0.3, -2.0), (0.9, 0.5, -3.5), T=steps * 0.01, samples=samples)
     state0 = initial_sweep_state(path, [1.0, 0.3], hbar=0.8)
     assert_bitwise_sweep(sweep_adiabatic(path, state0, 0.01), two_field_sweep(path, state0, 0.01))
 
@@ -690,8 +690,7 @@ def test_sweep_chunks_of_the_shipped_size_keep_the_block_cuts(monkeypatch, block
 def test_sweep_fixture_equals_the_two_field_kernel_bitwise():
     params = json.loads((FIXTURES / "sweep_reference.json").read_text())["params"]
     p = params["path"]
-    path = SweepPath.linear((p["x0"], p["y0"], p["z0"]), (p["x1"], p["y1"], p["z1"]),
-                            params["T"])
+    path = SweepPath((p["x0"], p["y0"], p["z0"]), (p["x1"], p["y1"], p["z1"]), params["T"])
     state0 = initial_sweep_state(path, params["csq"])
     assert_bitwise_sweep(sweep_adiabatic(path, state0, params["dt"]),
                          two_field_sweep(path, state0, params["dt"]))
@@ -703,7 +702,7 @@ def test_sweep_fixture_equals_the_two_field_kernel_bitwise():
 def test_sweep_on_the_z_axis_equals_the_two_field_kernel_bitwise(zeros, csq):
     # an empty mode leaves exact zeros in the state, whose signs the zero b's could flip
     x0, y0, x1, y1 = zeros
-    path = SweepPath.linear((x0, y0, -3.0), (x1, y1, -5.0), T=12.0, samples=7)
+    path = SweepPath((x0, y0, -3.0), (x1, y1, -5.0), T=12.0, samples=7)
     state0 = initial_sweep_state(path, csq, hbar=0.7)
     assert_bitwise_sweep(sweep_adiabatic(path, state0, 0.0025),
                          two_field_sweep(path, state0, 0.0025))

@@ -96,8 +96,8 @@ def test_phase_rotation_keeps_the_pt_symmetric_lattice_charge(seed, sites, lengt
     kx = 2.0 * np.pi * config.grid() / config.L
     V = real_amp * np.cos(kx) + 1j * gain * real_amp * np.sin(kx)
     assert np.allclose(V[(-np.arange(sites)) % sites], V.conj(), rtol=0.0, atol=1e-12)
-    state = continuum.initial_lattice_state(config, V,
-                                            _draw_state(np.random.default_rng(seed), sites))
+    state = dynamics.initial_state(spectral.biorthogonal_decompose(continuum.discretize(config, V)),
+                                   _draw_state(np.random.default_rng(seed), sites))
     rotated = dynamics.phase_rotated(state, alpha)
 
     terms = np.sum(np.abs(state.phibar * state.psi)) * config.dx
